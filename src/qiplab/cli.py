@@ -33,6 +33,7 @@ from .protocol import (
     ClassicalResponseStrategy,
     EntangledStrategy,
     ProtocolSpec,
+    ProverStrategy,
     RawUnentangledStrategy,
     acceptance_probability,
     canonicalize_prover,
@@ -41,10 +42,6 @@ from .protocol import (
 from .qmath import MeasurementOperator, Povm, PureState, RegisterLayout
 from .random_instances import random_eb_channel, random_raw_prover, random_verifier_spec
 from .utils import derived_rng
-
-ProverStrategy = (
-    EntangledStrategy | RawUnentangledStrategy | CanonicalStrategy | ClassicalResponseStrategy
-)
 
 
 def fmt17(x: float) -> str:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from scipy.spatial import SphericalVoronoi
 
 from .errors import (
     BudgetError,
@@ -29,12 +28,12 @@ from .errors import (
     ResolutionError,
     ValidationError,
 )
-from .kernels import quad_forms
 from .protocol import MeasurementFamily, ProtocolSpec, joint_response_operators
 from .qmath import PureState, dagger, hermitian_eig
 from .utils import derived_rng, indexed_map, worker_count
 
 ENUMERATION_BUDGET = 10**6
+NET_RESOLUTION_BUDGET = 10**5
 ITERATE_MONOTONE_TOL = 1e-12
 VALUE_RANGE_TOL = 1e-9
 RESPONSE_ALPHABET_CAP = 8
@@ -299,12 +298,25 @@ def net_covering_error(points: np.ndarray) -> float:
     """sin(alpha/2) for the net's covering angle alpha, the worst-case drop
     of <psi|A|psi> (0 <= A <= I) between any state and its nearest net point.
 
-    The covering angle is attained at a spherical Voronoi vertex.
+    The covering angle is attained at a spherical Voronoi vertex.  For unit
+    points each facet of the convex hull is a spherical Delaunay triangle
+    whose unit outward normal is a Voronoi vertex, and that vertex's nearest
+    net points are the facet's own corners, so the bound needs O(N) memory.
     """
-    sv = SphericalVoronoi(points, radius=1.0, center=np.zeros(3))
-    vertices = sv.vertices / np.linalg.norm(sv.vertices, axis=1, keepdims=True)
-    nearest = np.clip((vertices @ points.T).max(axis=1), -1.0, 1.0)
-    alpha = float(np.arccos(nearest).max())
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        hull = ConvexHull(points)
+    except QhullError as exc:
+        raise NumericsError(f"net points span no convex hull: {exc}") from exc
+    if not np.all(hull.equations[:, 3] < 0):
+        # the centre is not strictly inside, so the points fit in a hemisphere
+        # and the facet normals are not the Voronoi vertices
+        raise NumericsError("net points do not surround the centre of the sphere")
+    normals = hull.equations[:, :3]
+    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    facet_cos = np.einsum("fk,fck->fc", normals, points[hull.simplices]).max(axis=1)
+    alpha = float(np.arccos(np.clip(facet_cos.min(), -1.0, 1.0)))
     return math.sin(alpha / 2)
 
 
@@ -322,6 +334,10 @@ def brute_force_unentangled_value(
     d = spec.m_layout.total_dim
     if d != 2:
         raise BudgetError(f"net search supports one-qubit messages only, got dim {d}")
+    if cfg.net_resolution > NET_RESOLUTION_BUDGET:
+        raise BudgetError(
+            f"net resolution {cfg.net_resolution} exceeds the budget {NET_RESOLUTION_BUDGET}"
+        )
     fam = joint_response_operators(spec)
     _check_enumeration_budget(fam)
     arr = _family_array(fam)
@@ -340,7 +356,7 @@ def brute_force_unentangled_value(
         eigs = np.linalg.eigvalsh(stacked)
         if eigs.min() < -VALUE_RANGE_TOL or eigs.max() > 1 + VALUE_RANGE_TOL:
             raise NumericsError("a response map's acceptance operator escaped [0, I]")
-        values = quad_forms(np.ascontiguousarray(stacked), states)
+        values = np.einsum("nd,kde,ne->kn", states.conj(), stacked, states, optimize=True).real
         flat = int(np.argmax(values))
         g_idx, s_idx = divmod(flat, cfg.net_resolution)
         if values[g_idx, s_idx] > best_value:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,13 @@ def test_usage_errors_exit_with_status_two(tmp_path, run_cli):
         cwd=tmp_path,
     )
     assert coarse.returncode == 2, coarse.stderr.decode()
+    # past the resolution budget the net is refused before it is allocated
+    start = time.perf_counter()
+    oversized = run_cli(["nexp-decide", "--resolution", "100001", "--csv", "x.csv"], cwd=tmp_path)
+    elapsed = time.perf_counter() - start
+    assert oversized.returncode == 2, oversized.stderr.decode()
+    assert b"budget" in oversized.stderr
+    assert elapsed < 1.0, f"refusing the oversized net took {elapsed:.2f} s"
     cfg = tmp_path / "bad.json"
     cfg.write_text('{"bogus": 3}')
     unknown = run_cli(["amplify", "--config", str(cfg), "--csv", "x.csv"], cwd=tmp_path)
@@ -217,6 +225,21 @@ def test_cli_children_import_the_package_under_test(tmp_path, cli_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(Path(qiplab.__file__).resolve())
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded(tmp_path, cli_env):
+    # only net_covering_error needs scipy.spatial, and it imports it itself
+    probe = "import sys, qiplab.cli; print('scipy.spatial' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path,
+        env=cli_env("1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_channel_documents_round_trip():

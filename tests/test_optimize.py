@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.spatial import SphericalVoronoi
 
 from qiplab import (
     BudgetError,
@@ -13,7 +15,9 @@ from qiplab import (
     ValidationError,
     chsh_protocol,
 )
+from qiplab import optimize
 from qiplab.optimize import (
+    NET_RESOLUTION_BUDGET,
     OptimizerConfig,
     ValueReport,
     brute_force_unentangled_value,
@@ -27,7 +31,7 @@ from qiplab.optimize import (
     subsampling_experiment,
     uniform_weights,
 )
-from qiplab.protocol import MeasurementFamily
+from qiplab.protocol import MeasurementFamily, joint_response_operators
 from qiplab.random_instances import (
     random_measurement_family,
     random_public_coin_spec,
@@ -176,6 +180,73 @@ def test_fibonacci_net_covers_the_sphere_tightly():
         assert np.allclose(bloch, points[idx], atol=1e-10)
     err = net_covering_error(points)
     assert 0 < err < 0.05
+
+
+def _dense_covering_error(points):
+    """Reference bound: every Voronoi vertex against every net point, O(N^2) memory."""
+    sv = SphericalVoronoi(points, radius=1.0, center=np.zeros(3))
+    vertices = sv.vertices / np.linalg.norm(sv.vertices, axis=1, keepdims=True)
+    nearest = np.clip((vertices @ points.T).max(axis=1), -1.0, 1.0)
+    return math.sin(float(np.arccos(nearest).max()) / 2)
+
+
+def test_hull_covering_bound_matches_the_dense_reference():
+    for n in (4, 5, 6, 7, 10, 33, 50, 100, 257, 500, 1000, 1999):
+        points, _ = fibonacci_sphere_states(n)
+        assert net_covering_error(points) == pytest.approx(_dense_covering_error(points), abs=1e-12)
+    # the README's nexp-decide resolution: its CSV bytes carry this value
+    points, _ = fibonacci_sphere_states(2000)
+    assert net_covering_error(points) == _dense_covering_error(points)
+
+
+def test_covering_angle_bounds_the_distance_to_the_nearest_net_point():
+    rng = derived_rng(82, "covering-probes")
+    probes = rng.normal(size=(20000, 3))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    for n in (50, 500):
+        points, _ = fibonacci_sphere_states(n)
+        alpha = 2 * math.asin(net_covering_error(points))
+        nearest = min(float((chunk @ points.T).max(axis=1).min()) for chunk in np.split(probes, 4))
+        assert math.acos(min(nearest, 1.0)) <= alpha * (1 + 1e-9)
+
+
+def test_covering_bound_refuses_points_that_do_not_surround_the_centre():
+    points, _ = fibonacci_sphere_states(200)
+    with pytest.raises(NumericsError):
+        net_covering_error(points[points[:, 2] > 0])
+    t = np.linspace(0, 2 * np.pi, 12, endpoint=False)
+    with pytest.raises(NumericsError):
+        net_covering_error(np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1))
+
+
+def test_net_scan_matches_direct_quadratic_forms():
+    n = 60
+    _, states = fibonacci_sphere_states(n)
+    for trial in range(3):
+        spec, _ = random_public_coin_spec(derived_rng(83, "scan", trial))
+        report = brute_force_unentangled_value(spec, OptimizerConfig(net_resolution=n))
+        fam = joint_response_operators(spec)
+        best = -np.inf
+        for table in itertools.product(fam.responses, repeat=len(fam.challenges)):
+            a = sum(fam.op(y, z).entries for y, z in zip(fam.challenges, table))
+            for psi in states:
+                best = max(best, (psi.conj() @ a @ psi).real)
+        assert abs(report.value - best) < 1e-12
+        a = sum(fam.op(y, z).entries for y, z in report.witness["responses"].items())
+        psi = report.witness["state"]
+        assert abs((psi.conj() @ a @ psi).real - report.value) < 1e-12
+
+
+def test_net_resolution_budget_is_checked_before_the_net_is_built(monkeypatch):
+    def no_net(n):
+        raise AssertionError(f"a net of {n} points was built")
+
+    monkeypatch.setattr(optimize, "fibonacci_sphere_states", no_net)
+    spec, _ = chsh_protocol()
+    with pytest.raises(BudgetError):
+        brute_force_unentangled_value(
+            spec, OptimizerConfig(net_resolution=NET_RESOLUTION_BUDGET + 1)
+        )
 
 
 def test_brute_force_lands_in_the_chsh_window():
