@@ -34,9 +34,15 @@ from .utils import derived_rng, indexed_map, worker_count
 
 ENUMERATION_BUDGET = 10**6
 NET_RESOLUTION_BUDGET = 10**5
+# Largest keep_dim * d_m the see-saw accepts: every iteration of every
+# restart diagonalizes a dense matrix of that size (about 40 ms at 256 and
+# 1.5 s at 1024 on a 2-core host, for up to max_iters * restarts iterations).
+SEESAW_DIMENSION_BUDGET = 256
 ITERATE_MONOTONE_TOL = 1e-12
 VALUE_RANGE_TOL = 1e-9
 RESPONSE_ALPHABET_CAP = 8
+# Response maps evaluated together by the exhaustive and the net search.
+RESPONSE_MAP_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,19 @@ def _check_enumeration_budget(fam: MeasurementFamily):
         )
 
 
+def _response_map_blocks(arr: np.ndarray):
+    """Yield every response map g in lexicographic order, in blocks.
+
+    Each block is a list of tables (tuples of response indices, one per
+    challenge) and the stacked operators sum_y arr[y, g(y)], one per table.
+    """
+    n_y, n_z = arr.shape[:2]
+    y_index = np.arange(n_y)
+    tables = itertools.product(range(n_z), repeat=n_y)
+    while block := list(itertools.islice(tables, RESPONSE_MAP_BLOCK)):
+        yield block, arr[y_index[None, :], np.array(block)].sum(axis=1)
+
+
 def exact_classical_response_value(
     fam: MeasurementFamily, weights: Mapping[str, float] | None = None
 ) -> ValueReport:
@@ -147,25 +166,15 @@ def exact_classical_response_value(
     _check_enumeration_budget(fam)
     w = _weight_vector(fam, weights)
     arr = _family_array(fam) * w[:, None, None, None]
-    n_y = len(fam.challenges)
-    n_z = len(fam.responses)
-    y_index = np.arange(n_y)
     best_value = -np.inf
     best_table: tuple[int, ...] | None = None
-    chunk = 4096
-    tables = itertools.product(range(n_z), repeat=n_y)
-    while True:
-        block = list(itertools.islice(tables, chunk))
-        if not block:
-            break
-        g = np.array(block)
-        stacked = arr[y_index[None, :], g].sum(axis=1)
+    for block, stacked in _response_map_blocks(arr):
         tops = np.linalg.eigvalsh(stacked)[:, -1]
         i = int(np.argmax(tops))
         if tops[i] > best_value:
             best_value = float(tops[i])
             best_table = block[i]
-    averaged = arr[y_index, list(best_table)].sum(axis=0)
+    averaged = arr[np.arange(len(fam.challenges)), list(best_table)].sum(axis=0)
     vals, vecs = hermitian_eig(averaged)
     witness = {
         "responses": {y: fam.responses[z] for y, z in zip(fam.challenges, best_table)},
@@ -265,6 +274,11 @@ def seesaw_entangled_value(
     dim_keep = fam.layout.total_dim if keep_dim is None else int(keep_dim)
     if dim_keep < 1:
         raise ValidationError(f"keep_dim must be >= 1, got {keep_dim}")
+    if dim_keep * fam.layout.total_dim > SEESAW_DIMENSION_BUDGET:
+        raise BudgetError(
+            f"keep_dim {dim_keep} times message dimension {fam.layout.total_dim} exceeds "
+            f"the see-saw budget {SEESAW_DIMENSION_BUDGET}"
+        )
     runs = indexed_map(
         lambda r: _seesaw_restart(fam_arr, w, dim_keep, cfg, r),
         range(cfg.restarts),
@@ -340,19 +354,11 @@ def brute_force_unentangled_value(
         )
     fam = joint_response_operators(spec)
     _check_enumeration_budget(fam)
-    arr = _family_array(fam)
-    n_y = len(fam.challenges)
-    y_index = np.arange(n_y)
     points, states = fibonacci_sphere_states(cfg.net_resolution)
     best_value = -np.inf
     best_table: tuple[int, ...] | None = None
     best_state = 0
-    tables = itertools.product(range(len(fam.responses)), repeat=n_y)
-    while True:
-        block = list(itertools.islice(tables, 512))
-        if not block:
-            break
-        stacked = arr[y_index[None, :], np.array(block)].sum(axis=1)
+    for block, stacked in _response_map_blocks(_family_array(fam)):
         eigs = np.linalg.eigvalsh(stacked)
         if eigs.min() < -VALUE_RANGE_TOL or eigs.max() > 1 + VALUE_RANGE_TOL:
             raise NumericsError("a response map's acceptance operator escaped [0, I]")

@@ -31,6 +31,7 @@ import numpy as np
 
 from .channels import EbChannel, KrausChannel, adjoint_apply
 from .errors import (
+    BudgetError,
     ConditioningError,
     ContractError,
     LayoutError,
@@ -55,6 +56,11 @@ from .qmath import (
 
 BRANCH_PROBABILITY_TOL = 1e-12
 CONDITIONING_TOL = 1e-12
+# Largest total dimension D the simulator accepts.  Its states and scratch
+# arrays are dense D x D complex matrices, so memory grows as D^2 and time up
+# to D^3: a raw run plus its canonicalization at D = 1024 takes about 3 s and
+# 160 MB peak on a 2-core host.
+SIMULATOR_DIMENSION_BUDGET = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +287,20 @@ def _coin_move_ops(spec: ProtocolSpec) -> tuple[list[np.ndarray], tuple[str, ...
     return ops, m_names + (spec.saved_label, spec.coin_label)
 
 
+def _check_simulator_dimension(layout: RegisterLayout):
+    if layout.total_dim > SIMULATOR_DIMENSION_BUDGET:
+        raise BudgetError(
+            f"registers {layout.names} have total dimension {layout.total_dim}, "
+            f"above the simulator budget {SIMULATOR_DIMENSION_BUDGET}"
+        )
+
+
 def _geometry(spec: ProtocolSpec, workspace: RegisterLayout | None):
     if workspace is not None:
         full = workspace.concat(spec.m_layout).concat(spec.v_layout)
     else:
         full = spec.joint_layout()
+    _check_simulator_dimension(full)
     m_axes = full.axes(spec.m_layout.names)
     v_axes = full.axes(spec.v_layout.names)
     p_axes = full.axes(workspace.names) if workspace is not None else ()
@@ -321,13 +336,7 @@ def _prover_first_move(spec, prover, rho, dims, p_axes, m_axes):
         _check_channel_dims(prover.mix1, expected, "prover mix1 channel")
         rho = apply_kraus_array(rho, dims, prover.mix1.kraus_ops, pm_axes)
         return _apply_emit(spec, prover, prover.emit1, rho, dims, p_axes, m_axes)
-    if isinstance(prover, CanonicalStrategy):
-        psi = prover.first_message
-        if psi.layout.dims != spec.m_layout.dims:
-            raise LayoutError("first message does not fit the message register")
-        prep = EbChannel.constant(spec.m_layout, psi)
-        return apply_kraus_array(rho, dims, prep.to_kraus().kraus_ops, m_axes)
-    if isinstance(prover, ClassicalResponseStrategy):
+    if isinstance(prover, (CanonicalStrategy, ClassicalResponseStrategy)):
         psi = prover.first_message
         if psi is None:
             raise ValidationError("three-round protocols need a first message")
@@ -506,6 +515,7 @@ def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStr
         raise ValidationError("canonical form is defined for three-round protocols")
     workspace = _workspace_of(spec, raw)
     pm = workspace.concat(spec.m_layout)
+    _check_simulator_dimension(pm)
     _check_channel_dims(raw.mix1, pm, "mix1")
     _check_channel_dims(raw.mix2, pm, "mix2")
     dims = pm.dims

@@ -5,8 +5,9 @@ register is the most significant index (row-major basis ordering).  All
 state and operator types validate their defining invariants at construction
 and hold read-only arrays, so instances may be shared freely across threads.
 
-Intended for exact toy-scale work (total dimension up to a few hundred);
-nothing here is sparse, symbolic, or approximate.
+Intended for exact toy-scale work: the protocol simulator refuses total
+dimensions above qiplab.protocol.SIMULATOR_DIMENSION_BUDGET (1024).
+Nothing here is sparse, symbolic, or approximate.
 """
 
 from __future__ import annotations
@@ -374,12 +375,36 @@ def embed_operator(op: np.ndarray, dims: Sequence[int], target_axes: Sequence[in
 def apply_kraus_array(
     rho: np.ndarray, dims: Sequence[int], kraus: Sequence[np.ndarray], target_axes: Sequence[int]
 ) -> np.ndarray:
-    """Sum_k (K_k (x) I) rho (K_k (x) I)^dag on the listed axes (shape preserving)."""
-    ks = [embed_operator(k, dims, target_axes) for k in kraus]
-    out = np.zeros_like(rho)
+    """Sum_k (K_k (x) I) rho (K_k (x) I)^dag on the listed axes (shape preserving).
+
+    Each K_k acts on its target registers only, never embedded into the full
+    space: with rows and columns of rho both reordered as (target, rest),
+    K (x) I applied from the left is one product of K with rho reshaped to
+    d_t rows.  X = (K (x) I) rho is transposed, so that the right factor
+    becomes a left one, and conj(K) applied to it gives the transpose of
+    (K (x) I) rho (K (x) I)^dag exactly, whether or not rho is Hermitian.
+    The sum of those transposes is transposed once at the end.  Work per
+    operator is 2 D^2 d_t instead of 2 D^3, and the operators are applied
+    one at a time, so a few D x D arrays are live however many there are.
+    """
+    dims = tuple(dims)
+    n = len(dims)
+    target = list(target_axes)
+    order = target + [a for a in range(n) if a not in target]
+    d = math.prod(dims)
+    d_t = math.prod(dims[a] for a in target)
+    ks = [np.asarray(k, dtype=np.complex128) for k in kraus]
     for k in ks:
-        out += k @ rho @ dagger(k)
-    return out
+        if k.shape != (d_t, d_t):
+            raise LayoutError(f"operator shape {k.shape} does not match target dims {d_t}")
+    moved = rho.reshape(dims + dims).transpose(order + [n + a for a in order]).reshape(d_t, -1)
+    acc = np.zeros((d_t, d * d // d_t), dtype=np.complex128)
+    for k in ks:
+        half = (k @ moved).reshape(d, d)
+        acc += k.conj() @ half.T.reshape(d_t, -1)
+    inv = [order.index(a) for a in range(n)]
+    out = acc.reshape(tuple(dims[a] for a in order) * 2).transpose([n + i for i in inv] + inv)
+    return np.ascontiguousarray(out.reshape(d, d))
 
 
 def dephase_axes(rho: np.ndarray, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:

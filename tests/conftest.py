@@ -1,4 +1,5 @@
-"""Shared helpers for tests that start the CLI as a fresh interpreter."""
+"""Shared test settings: the property-test profile, and helpers for tests
+that start the CLI as a fresh interpreter."""
 
 import os
 import subprocess
@@ -6,8 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import qiplab
+
+# Property tests draw the same examples on every run, and keep no example
+# database on disk, so the suite's result does not depend on earlier runs.
+settings.register_profile("qiplab", derandomize=True, database=None, deadline=None)
+settings.load_profile("qiplab")
 
 # The directory that holds the qiplab package this test run imported.
 PACKAGE_ROOT = Path(qiplab.__file__).resolve().parent.parent

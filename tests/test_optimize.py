@@ -18,6 +18,7 @@ from qiplab import (
 from qiplab import optimize
 from qiplab.optimize import (
     NET_RESOLUTION_BUDGET,
+    SEESAW_DIMENSION_BUDGET,
     OptimizerConfig,
     ValueReport,
     brute_force_unentangled_value,
@@ -158,6 +159,20 @@ def test_seesaw_rejects_oversized_response_alphabets():
     fam = MeasurementFamily(("0",), tuple(str(z) for z in range(9)), ops)
     with pytest.raises(BudgetError):
         seesaw_entangled_value(fam)
+
+
+def test_seesaw_dimension_budget_is_checked_before_the_restarts(monkeypatch):
+    _, fam = chsh_protocol()  # message dimension 2
+    cfg = OptimizerConfig(restarts=1, max_iters=1)
+    limit = SEESAW_DIMENSION_BUDGET // 2
+    assert 0 <= seesaw_entangled_value(fam, config=cfg, keep_dim=limit).value <= 1
+
+    def no_restart(*args):
+        raise AssertionError("a see-saw restart ran")
+
+    monkeypatch.setattr(optimize, "_seesaw_restart", no_restart)
+    with pytest.raises(BudgetError, match="see-saw budget"):
+        seesaw_entangled_value(fam, config=cfg, keep_dim=limit + 1)
 
 
 def test_fibonacci_net_covers_the_sphere_tightly():

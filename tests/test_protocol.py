@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qiplab import (
+    BudgetError,
     ConditioningError,
     ContractError,
     KrausChannel,
@@ -11,6 +14,7 @@ from qiplab import (
     RegisterLayout,
     ValidationError,
     hermitian_eig,
+    protocol,
 )
 from qiplab.protocol import (
     CanonicalStrategy,
@@ -151,6 +155,30 @@ def test_canonicalize_rejects_other_strategy_forms():
     spec, _ = chsh_protocol()
     with pytest.raises(ContractError):
         canonicalize_prover(spec, ClassicalResponseStrategy(None, {"0": "0", "1": "0"}))
+
+
+def test_simulator_dimension_budget_is_checked_before_allocating(monkeypatch):
+    spec, _ = chsh_protocol()  # (M, V) has dimension 8
+    raw = random_raw_prover(derived_rng(34, "budget"), spec)  # (W, S) = (2, 2)
+    # at the budget the full (W, S, M, V) layout of dimension 32 still runs
+    monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 32)
+    assert 0 <= run_interaction(spec, raw).accept_probability <= 1
+    monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 31)
+    with pytest.raises(BudgetError, match="simulator budget"):
+        run_interaction(spec, raw)
+    monkeypatch.undo()
+
+    def no_allocation(*args):
+        raise AssertionError("a simulator array was allocated")
+
+    monkeypatch.setattr(protocol, "_zero_state", no_allocation)
+    monkeypatch.setattr(protocol, "apply_kraus_array", no_allocation)
+    # (W, S, M) has dimension 2048 and (W, S, M, V) 16384; the channels stay
+    # small, because the sizes are checked before anything reads them
+    big = dataclasses.replace(raw, workspace=RegisterLayout(("W", "S"), (512, 2)))
+    for simulate in (run_interaction, canonicalize_prover):
+        with pytest.raises(BudgetError, match="simulator budget"):
+            simulate(spec, big)
 
 
 def test_postselection_recomposes_the_total_acceptance():

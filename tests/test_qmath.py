@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qiplab.errors import LayoutError, ValidationError
 from qiplab.qmath import (
@@ -10,6 +12,7 @@ from qiplab.qmath import (
     Povm,
     PureState,
     RegisterLayout,
+    apply_kraus_array,
     basis_projector_array,
     born_probability,
     dephase_axes,
@@ -243,3 +246,61 @@ def test_basis_projector_array():
     state = np.kron(KET_PLUS, KET_PLUS)
     out = proj @ np.outer(state, state.conj()) @ proj
     assert abs(np.trace(out).real - 0.5) < 1e-12
+
+
+def embedded_kraus_sum(rho, dims, kraus, target_axes):
+    """Reference: each operator embedded into the full space, two D x D products."""
+    out = np.zeros(rho.shape, dtype=np.complex128)
+    for k in kraus:
+        full = embed_operator(k, dims, target_axes)
+        out += full @ rho @ full.conj().T
+    return out
+
+
+@st.composite
+def kraus_cases(draw):
+    """Registers, a target-axis subset in any order, operators and an input.
+
+    The input is a random density matrix or a matrix unit |j><k|, which is
+    not Hermitian for j != k (the family extraction pushes matrix units
+    through the verifier's channels).
+    """
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=4)))
+    order = draw(st.permutations(range(len(dims))))
+    target = tuple(order[: draw(st.integers(1, len(dims)))])
+    n_ops = draw(st.integers(1, 4))
+    unit = draw(st.none() | st.tuples(st.integers(0, 80), st.integers(0, 80)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return dims, target, n_ops, unit, seed
+
+
+@given(kraus_cases())
+@example(((2, 3, 2, 3), (3, 1), 3, (5, 30), 0))
+@example(((3, 2, 2), (2, 0), 2, None, 1))
+def test_apply_kraus_array_matches_the_embedded_sum(case):
+    dims, target, n_ops, unit, seed = case
+    rng = np.random.default_rng(seed)
+    d = math.prod(dims)
+    d_t = math.prod(dims[a] for a in target)
+    # not trace preserving: independent Gaussian operators of unit scale
+    kraus = [
+        (rng.normal(size=(d_t, d_t)) + 1j * rng.normal(size=(d_t, d_t))) / math.sqrt(d_t)
+        for _ in range(n_ops)
+    ]
+    if unit is None:
+        rho = random_density(rng, RegisterLayout(tuple(f"R{i}" for i in range(len(dims))), dims)).entries
+    else:
+        rho = np.zeros((d, d), dtype=np.complex128)
+        rho[unit[0] % d, unit[1] % d] = 1.0
+    got = apply_kraus_array(rho, dims, kraus, target)
+    want = embedded_kraus_sum(rho, dims, kraus, target)
+    assert got.shape == (d, d)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_apply_kraus_array_rejects_a_misshaped_operator():
+    rho = np.eye(12, dtype=np.complex128) / 12
+    good = np.eye(6)
+    for bad in (np.eye(4), np.eye(12), np.ones((6, 3))):
+        with pytest.raises(LayoutError):
+            apply_kraus_array(rho, (2, 3, 2), [good, bad], (1, 2))
