@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -349,6 +350,8 @@ def _as_int(name: str, value: Any) -> int:
 def _as_float(name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"parameter {name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"parameter {name} must be finite, got {value!r}")
     return float(value)
 
 

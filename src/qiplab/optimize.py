@@ -9,8 +9,8 @@ multiset of challenges approximates the uniform value.  majority_amplify
 does the parallel-repetition bookkeeping exactly.
 
 Everything is deterministic given a seed: per-restart and per-trial RNG
-streams derive from independent seed paths, and parallel execution
-aggregates by task index.
+streams derive from independent seed paths, and restarts and trials run
+one after another in index order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .protocol import MeasurementFamily, ProtocolSpec, joint_response_operators
 from .qmath import PureState, dagger, hermitian_eig
-from .utils import derived_rng, indexed_map, worker_count
+from .utils import derived_rng
 
 ENUMERATION_BUDGET = 10**6
 NET_RESOLUTION_BUDGET = 10**5
@@ -116,6 +116,8 @@ def _weight_vector(fam: MeasurementFamily, weights: Mapping[str, float] | None) 
     if set(weights) != set(fam.challenges):
         raise ValidationError("weights must cover exactly the challenge alphabet")
     w = np.array([float(weights[y]) for y in fam.challenges])
+    if not np.all(np.isfinite(w)):
+        raise ValidationError(f"weights must be finite, got {w.tolist()!r}")
     if np.any(w < -1e-12):
         raise ValidationError("weights must be nonnegative")
     if abs(w.sum() - 1.0) > 1e-9:
@@ -254,7 +256,6 @@ def seesaw_entangled_value(
     weights: Mapping[str, float] | None = None,
     config: OptimizerConfig | None = None,
     keep_dim: int | None = None,
-    max_workers: int | None = None,
 ) -> ValueReport:
     """Lower bound on the entangled-prover value by alternating maximization.
 
@@ -279,11 +280,7 @@ def seesaw_entangled_value(
             f"keep_dim {dim_keep} times message dimension {fam.layout.total_dim} exceeds "
             f"the see-saw budget {SEESAW_DIMENSION_BUDGET}"
         )
-    runs = indexed_map(
-        lambda r: _seesaw_restart(fam_arr, w, dim_keep, cfg, r),
-        range(cfg.restarts),
-        workers=worker_count(max_workers),
-    )
+    runs = [_seesaw_restart(fam_arr, w, dim_keep, cfg, r) for r in range(cfg.restarts)]
     best = max(range(cfg.restarts), key=lambda r: runs[r][0])
     value, _, psi, povms = runs[best]
     witness = {
@@ -401,22 +398,12 @@ def nexp_decide(
     return DecisionReport(report.value >= threshold, report.value, threshold, report.net_error)
 
 
-def _subsample_trial(fam, lhs, eps, seed, r, trial):
-    rng = derived_rng(seed, "subsample", r, trial)
-    draws = rng.integers(0, len(fam.challenges), size=r)
-    counts = np.bincount(draws, minlength=len(fam.challenges))
-    empirical = {y: counts[i] / r for i, y in enumerate(fam.challenges)}
-    rhs = exact_classical_response_value(fam, empirical).value
-    return rhs, abs(lhs - rhs)
-
-
 def subsampling_experiment(
     fam: MeasurementFamily,
     r: int,
     eps: float,
     trials: int,
     seed: int,
-    max_workers: int | None = None,
 ) -> SubsampleReport:
     """Deviation between the uniform value and r-sample empirical values.
 
@@ -431,13 +418,14 @@ def subsampling_experiment(
     if not eps > 0:
         raise ValidationError(f"eps must be > 0, got {eps}")
     lhs = exact_classical_response_value(fam, None).value
-    rows = indexed_map(
-        lambda t: _subsample_trial(fam, lhs, eps, seed, r, t),
-        range(trials),
-        workers=worker_count(max_workers),
-    )
-    rhs_values = tuple(row[0] for row in rows)
-    deviations = tuple(row[1] for row in rows)
+    rhs_values = []
+    for trial in range(trials):
+        rng = derived_rng(seed, "subsample", r, trial)
+        draws = rng.integers(0, len(fam.challenges), size=r)
+        counts = np.bincount(draws, minlength=len(fam.challenges))
+        empirical = {y: counts[i] / r for i, y in enumerate(fam.challenges)}
+        rhs_values.append(exact_classical_response_value(fam, empirical).value)
+    deviations = tuple(abs(lhs - rhs) for rhs in rhs_values)
     failures = sum(1 for d in deviations if d > eps)
     return SubsampleReport(
         m=len(fam.challenges[0]),
@@ -445,7 +433,7 @@ def subsampling_experiment(
         eps=eps,
         trials=trials,
         lhs_value=lhs,
-        rhs_values=rhs_values,
+        rhs_values=tuple(rhs_values),
         deviations=deviations,
         failure_fraction=failures / trials,
     )

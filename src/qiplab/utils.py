@@ -1,18 +1,10 @@
-"""Seeded RNG streams and a small deterministic worker pool."""
+"""Seeded RNG streams."""
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
-
-from .errors import ValidationError
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 def _path_word(part: int | str) -> int:
@@ -26,39 +18,9 @@ def derived_rng(seed: int, *path: int | str) -> np.random.Generator:
     """Independent counter-based stream for (seed, path).
 
     Streams for distinct paths never overlap, so per-trial and per-restart
-    work can run in any order (or concurrently) and still reproduce the
-    exact same draws.  String path parts are hashed, so subsystems can tag
-    their streams by name.
+    work can run in any order and still reproduce the exact same draws.
+    String path parts are hashed, so subsystems can tag their streams by
+    name.
     """
     entropy = (int(seed) & 0xFFFFFFFFFFFFFFFF,) + tuple(_path_word(p) for p in path)
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def worker_count(explicit: int | None = None) -> int:
-    """Resolve the worker cap: explicit arg, then LAB_THREADS, then cpu count."""
-    if explicit is not None:
-        n = int(explicit)
-    else:
-        env = os.environ.get("LAB_THREADS")
-        if env is not None:
-            try:
-                n = int(env)
-            except ValueError as exc:
-                raise ValidationError(f"LAB_THREADS must be an integer, got {env!r}") from exc
-        else:
-            n = os.cpu_count() or 1
-    if n < 1:
-        raise ValidationError(f"worker count must be >= 1, got {n}")
-    return n
-
-
-def indexed_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
-    """Map fn over items, preserving order regardless of worker count.
-
-    Each item must be self-contained (no shared mutable state); results are
-    collected by task index so the output is identical for any `workers`.
-    """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))

@@ -103,6 +103,8 @@ def test_weight_validation():
         exact_classical_response_value(family, {"0": 1.5, "1": -0.5})
     with pytest.raises(ValidationError):
         exact_classical_response_value(family, {"0": 0.9, "1": 0.9})
+    with pytest.raises(ValidationError):
+        exact_classical_response_value(family, {"0": float("nan"), "1": 1.0})
 
 
 def test_seesaw_reaches_the_chsh_entangled_optimum():
@@ -366,8 +368,8 @@ def test_subsampling_deviation_decays_with_more_draws():
 
 def test_subsampling_is_deterministic_for_a_seed():
     _, family = chsh_protocol()
-    one = subsampling_experiment(family, r=16, eps=0.1, trials=10, seed=3, max_workers=1)
-    two = subsampling_experiment(family, r=16, eps=0.1, trials=10, seed=3, max_workers=4)
+    one = subsampling_experiment(family, r=16, eps=0.1, trials=10, seed=3)
+    two = subsampling_experiment(family, r=16, eps=0.1, trials=10, seed=3)
     assert one == two
 
 
