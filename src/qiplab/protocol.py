@@ -14,6 +14,13 @@ register, samples a uniform coin, records the coin, and transmits the coin
 (a uniform-challenge verifier keeps the message intact this way, which is
 what the final measurement acts on).
 
+The simulator keeps one dense density matrix over (P, M, V).  Every
+measurement it makes -- the prover's measure-and-prepare emissions, the
+public coin, challenge conditioning and the accept flag -- is a contraction
+against stacked effects (qmath.measure_array) followed, where something is
+emitted, by qmath.prepare_array; Kraus operators remain only for channels
+given in Kraus form (mix, v1, v2 and the entangled prover's channels).
+
 Prover strategies come in four forms, from the most general unentangled one
 (arbitrary workspace channels with measure-and-prepare message emission) to
 a fixed classical response table.  canonicalize_prover compresses the raw
@@ -45,13 +52,12 @@ from .qmath import (
     PureState,
     RegisterLayout,
     apply_kraus_array,
-    basis_projector_array,
     dagger,
     dephase_axes,
-    embed_operator,
     kron_all,
-    partial_trace_array,
-    register_permutation,
+    measure_array,
+    prepare_array,
+    reorder_array,
 )
 
 BRANCH_PROBABILITY_TOL = 1e-12
@@ -253,40 +259,6 @@ class MeasurementFamily:
 # simulator internals
 
 
-def _coin_move_ops(spec: ProtocolSpec) -> tuple[list[np.ndarray], tuple[str, ...]]:
-    """Kraus operators of the public-coin move and the registers they act on.
-
-    Three rounds: swap M into the stash register, then overwrite (M, coin)
-    with the uniformly correlated coin pair.  Two rounds: coin pair only.
-    """
-    n = spec.m_layout.total_dim
-    prep = []
-    for y in range(n):
-        pair = np.zeros(n * n, dtype=np.complex128)
-        pair[y * n + y] = 1.0
-        for j in range(n):
-            for c in range(n):
-                bra = np.zeros(n * n, dtype=np.complex128)
-                bra[j * n + c] = 1.0
-                prep.append(np.sqrt(1.0 / n) * np.outer(pair, bra))
-    m_names = spec.m_layout.names
-    if spec.rounds == 2:
-        return prep, m_names + (spec.coin_label,)
-    local_dims = spec.m_layout.dims + (n, n)
-    m_axes_local = tuple(range(len(m_names)))
-    stash_local = len(m_names)
-    coin_local = len(m_names) + 1
-    swap = np.zeros((n * n, n * n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(n):
-            swap[b * n + a, a * n + b] = 1.0
-    swap_full = embed_operator(swap, local_dims, m_axes_local + (stash_local,))
-    ops = [
-        embed_operator(k, local_dims, m_axes_local + (coin_local,)) @ swap_full for k in prep
-    ]
-    return ops, m_names + (spec.saved_label, spec.coin_label)
-
-
 def _check_simulator_dimension(layout: RegisterLayout):
     if layout.total_dim > SIMULATOR_DIMENSION_BUDGET:
         raise BudgetError(
@@ -313,11 +285,10 @@ def _zero_state(dim: int) -> np.ndarray:
     return rho
 
 
-def _emit_with_reset_ops(emit: EbChannel, s_dim: int) -> list[np.ndarray]:
-    """Kraus form of: measure-and-prepare from (S, M) to M, then reset S."""
-    zero_s = np.zeros((s_dim, 1), dtype=np.complex128)
-    zero_s[0, 0] = 1.0
-    return [np.kron(zero_s, k) for k in emit.to_kraus().kraus_ops]
+def _basis_effects(dim: int) -> np.ndarray:
+    """Stack of the computational-basis projectors |y><y| of one register set."""
+    eye = np.eye(dim)
+    return eye[:, :, None] * eye[:, None, :]
 
 
 def _check_channel_dims(ch: KrausChannel, layout: RegisterLayout, what: str):
@@ -325,47 +296,93 @@ def _check_channel_dims(ch: KrausChannel, layout: RegisterLayout, what: str):
         raise LayoutError(f"{what} does not act on layout dims {layout.dims}")
 
 
-def _prover_first_move(spec, prover, rho, dims, p_axes, m_axes):
+def _check_prover(spec: ProtocolSpec, prover: ProverStrategy):
+    """Raise if `prover` does not fit `spec`; called before any state exists."""
+    if spec.rounds == 2 and not isinstance(prover, ClassicalResponseStrategy):
+        raise ContractError("two-round protocols support classical-response provers only")
+    m_dims = spec.m_layout.dims
+    if isinstance(prover, EntangledStrategy):
+        pm = prover.workspace.concat(spec.m_layout)
+        _check_channel_dims(prover.first, pm, "prover first channel")
+        _check_channel_dims(prover.respond, pm, "prover respond channel")
+    elif isinstance(prover, RawUnentangledStrategy):
+        pm = prover.workspace.concat(spec.m_layout)
+        _check_channel_dims(prover.mix1, pm, "prover mix1 channel")
+        _check_channel_dims(prover.mix2, pm, "prover mix2 channel")
+        s_m = prover.workspace.subset(prover.eb_labels).concat(spec.m_layout)
+        for emit in (prover.emit1, prover.emit2):
+            if emit.in_layout.dims != s_m.dims or emit.out_layout.dims != m_dims:
+                raise LayoutError(
+                    f"emission channel dims {emit.in_layout.dims}->{emit.out_layout.dims} "
+                    f"do not match (S, M) = {s_m.dims}"
+                )
+    elif isinstance(prover, (CanonicalStrategy, ClassicalResponseStrategy)):
+        psi = prover.first_message
+        if spec.rounds == 2 and psi is not None:
+            raise ValidationError("two-round protocols have no prover opening message")
+        if spec.rounds == 3 and psi is None:
+            raise ValidationError("three-round protocols need a first message")
+        if psi is not None and psi.layout.dims != m_dims:
+            raise LayoutError("first message does not fit the message register")
+        if isinstance(prover, CanonicalStrategy):
+            if prover.respond.in_layout.dims != m_dims or prover.respond.out_layout.dims != m_dims:
+                raise LayoutError("canonical response channel must map M to M")
+        elif spec.challenge_round not in spec.classical_rounds:
+            raise ContractError("a classical-response prover needs a classical challenge round")
+        else:
+            classical_response_channel(spec.m_layout, prover.responses)
+    else:
+        raise ContractError(f"unknown prover strategy {type(prover).__name__}")
+
+
+def _measure_prepare(rho, dims, channel: EbChannel, out_axes, reset_axes):
+    """Apply `channel` reading (reset_axes, out_axes) and writing out_axes.
+
+    The POVM is measured on the registers of both, the prepared states are
+    written on out_axes, and the registers of reset_axes return to |0>.
+    """
+    axes = tuple(reset_axes) + tuple(out_axes)
+    zero = np.eye(math.prod(dims[a] for a in reset_axes))[0]
+    effects = [e.entries for e in channel.povm.elements]
+    preps = [np.kron(zero, p.amplitudes) for p in channel.preps]
+    return prepare_array(measure_array(rho, dims, effects, axes), dims, preps, axes)
+
+
+def _prover_move(spec, prover, rho, dims, p_axes, m_axes, opening):
+    """The prover's opening move, or its response when opening is False."""
     pm_axes = tuple(p_axes) + tuple(m_axes)
     if isinstance(prover, EntangledStrategy):
-        expected = prover.workspace.concat(spec.m_layout)
-        _check_channel_dims(prover.first, expected, "prover first channel")
-        return apply_kraus_array(rho, dims, prover.first.kraus_ops, pm_axes)
+        channel = prover.first if opening else prover.respond
+        return apply_kraus_array(rho, dims, channel.kraus_ops, pm_axes)
+    reset_axes = ()
     if isinstance(prover, RawUnentangledStrategy):
-        expected = prover.workspace.concat(spec.m_layout)
-        _check_channel_dims(prover.mix1, expected, "prover mix1 channel")
-        rho = apply_kraus_array(rho, dims, prover.mix1.kraus_ops, pm_axes)
-        return _apply_emit(spec, prover, prover.emit1, rho, dims, p_axes, m_axes)
-    if isinstance(prover, (CanonicalStrategy, ClassicalResponseStrategy)):
-        psi = prover.first_message
-        if psi is None:
-            raise ValidationError("three-round protocols need a first message")
-        if psi.layout.dims != spec.m_layout.dims:
-            raise LayoutError("first message does not fit the message register")
-        prep = EbChannel.constant(spec.m_layout, psi)
-        return apply_kraus_array(rho, dims, prep.to_kraus().kraus_ops, m_axes)
-    raise ContractError(f"unknown prover strategy {type(prover).__name__}")
-
-
-def _apply_emit(spec, prover, emit, rho, dims, p_axes, m_axes):
-    s_names = [n for n in prover.workspace.names if n in prover.eb_labels]
-    s_layout = prover.workspace.subset(s_names)
-    expected_in = s_layout.concat(spec.m_layout)
-    if emit.in_layout.dims != expected_in.dims or emit.out_layout.dims != spec.m_layout.dims:
-        raise LayoutError(
-            f"emission channel dims {emit.in_layout.dims}->{emit.out_layout.dims} "
-            f"do not match (S, M) = {expected_in.dims}"
-        )
-    s_axes = tuple(p_axes[prover.workspace.axis(n)] for n in s_names)
-    ops = _emit_with_reset_ops(emit, s_layout.total_dim)
-    return apply_kraus_array(rho, dims, ops, s_axes + tuple(m_axes))
+        mix, channel = (prover.mix1, prover.emit1) if opening else (prover.mix2, prover.emit2)
+        rho = apply_kraus_array(rho, dims, mix.kraus_ops, pm_axes)
+        ws = prover.workspace
+        reset_axes = tuple(p_axes[ws.axis(n)] for n in ws.names if n in prover.eb_labels)
+    elif opening:
+        channel = EbChannel.constant(spec.m_layout, prover.first_message)
+    elif isinstance(prover, CanonicalStrategy):
+        channel = prover.respond
+    else:
+        channel = classical_response_channel(spec.m_layout, prover.responses)
+    return _measure_prepare(rho, dims, channel, m_axes, reset_axes)
 
 
 def _challenge_move(spec, rho, dims, m_axes, v_axes, full):
+    """The verifier's v1, or its public coin, then dephasing if classical.
+
+    The coin is a measure-and-prepare step on (M, coin): n effects I/n and
+    the prepared pairs |y>|y>.  Three rounds first swap M into the stash.
+    """
     if spec.public_coin:
-        ops, names = _coin_move_ops(spec)
-        axes = full.axes(names)
-        rho = apply_kraus_array(rho, dims, ops, axes)
+        n = spec.m_layout.total_dim
+        if spec.rounds == 3:
+            swap = np.eye(n * n).reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n)
+            rho = apply_kraus_array(rho, dims, [swap], m_axes + (full.axis(spec.saved_label),))
+        axes = m_axes + (full.axis(spec.coin_label),)
+        blocks = measure_array(rho, dims, [np.eye(n * n) / n] * n, axes)
+        rho = prepare_array(blocks, dims, np.eye(n * n)[:: n + 1], axes)
     else:
         rho = apply_kraus_array(rho, dims, spec.v1.kraus_ops, tuple(m_axes) + tuple(v_axes))
     if spec.challenge_round in spec.classical_rounds:
@@ -387,28 +404,6 @@ def classical_response_channel(layout: RegisterLayout, responses: Mapping[str, s
     return EbChannel(povm, preps)
 
 
-def _prover_response_move(spec, prover, rho, dims, p_axes, m_axes):
-    pm_axes = tuple(p_axes) + tuple(m_axes)
-    if isinstance(prover, EntangledStrategy):
-        return apply_kraus_array(rho, dims, prover.respond.kraus_ops, pm_axes)
-    if isinstance(prover, RawUnentangledStrategy):
-        rho = apply_kraus_array(rho, dims, prover.mix2.kraus_ops, pm_axes)
-        return _apply_emit(spec, prover, prover.emit2, rho, dims, p_axes, m_axes)
-    if isinstance(prover, CanonicalStrategy):
-        respond = prover.respond
-        if respond.in_layout.dims != spec.m_layout.dims or respond.out_layout.dims != spec.m_layout.dims:
-            raise LayoutError("canonical response channel must map M to M")
-        return apply_kraus_array(rho, dims, respond.to_kraus().kraus_ops, m_axes)
-    if isinstance(prover, ClassicalResponseStrategy):
-        if spec.challenge_round not in spec.classical_rounds:
-            raise ContractError(
-                "a classical-response prover needs a classical challenge round"
-            )
-        respond = classical_response_channel(spec.m_layout, prover.responses)
-        return apply_kraus_array(rho, dims, respond.to_kraus().kraus_ops, m_axes)
-    raise ContractError(f"unknown prover strategy {type(prover).__name__}")
-
-
 def _workspace_of(spec, prover) -> RegisterLayout | None:
     if isinstance(prover, (EntangledStrategy, RawUnentangledStrategy)):
         ws = prover.workspace
@@ -421,25 +416,22 @@ def _workspace_of(spec, prover) -> RegisterLayout | None:
 
 def run_interaction(spec: ProtocolSpec, prover: ProverStrategy) -> Transcript:
     """Simulate the full interaction and return the closing state and flag."""
-    if spec.rounds == 2 and not isinstance(prover, ClassicalResponseStrategy):
-        raise ContractError("two-round protocols support classical-response provers only")
-    if spec.rounds == 2 and prover.first_message is not None:
-        raise ValidationError("two-round protocols have no prover opening message")
     workspace = _workspace_of(spec, prover)
     full, p_axes, m_axes, v_axes = _geometry(spec, workspace)
+    _check_prover(spec, prover)
     dims = full.dims
     rho = _zero_state(full.total_dim)
     if spec.rounds == 3:
-        rho = _prover_first_move(spec, prover, rho, dims, p_axes, m_axes)
+        rho = _prover_move(spec, prover, rho, dims, p_axes, m_axes, opening=True)
         if 1 in spec.classical_rounds:
             rho = dephase_axes(rho, dims, m_axes)
     rho = _challenge_move(spec, rho, dims, m_axes, v_axes, full)
-    rho = _prover_response_move(spec, prover, rho, dims, p_axes, m_axes)
+    rho = _prover_move(spec, prover, rho, dims, p_axes, m_axes, opening=False)
     if spec.response_round in spec.classical_rounds:
         rho = dephase_axes(rho, dims, m_axes)
-    rho = apply_kraus_array(rho, dims, spec.v2.kraus_ops, tuple(m_axes) + tuple(v_axes))
-    flag = embed_operator(spec.accept.entries, dims, tuple(m_axes) + tuple(v_axes))
-    p = float(np.trace(flag @ rho).real)
+    mv_axes = tuple(m_axes) + tuple(v_axes)
+    rho = apply_kraus_array(rho, dims, spec.v2.kraus_ops, mv_axes)
+    p = float(np.trace(measure_array(rho, dims, [spec.accept.entries], mv_axes)[0]).real)
     if p < -1e-9 or p > 1 + 1e-9:
         raise NumericsError(f"acceptance probability {p!r} escaped [0, 1]")
     p = min(max(p, 0.0), 1.0)
@@ -457,11 +449,11 @@ def verifier_message_distribution(spec: ProtocolSpec) -> dict[str, float]:
     full, _, m_axes, v_axes = _geometry(spec, None)
     dims = full.dims
     rho = _challenge_move(spec, _zero_state(full.total_dim), dims, m_axes, v_axes, full)
-    out = {}
-    for idx, label in enumerate(spec.m_layout.basis_labels()):
-        proj = basis_projector_array(dims, m_axes, idx)
-        out[label] = float(np.trace(proj @ rho).real)
-    return out
+    blocks = measure_array(rho, dims, _basis_effects(spec.m_layout.total_dim), m_axes)
+    return {
+        label: float(np.trace(block).real)
+        for label, block in zip(spec.m_layout.basis_labels(), blocks)
+    }
 
 
 def postselected_acceptance(spec: ProtocolSpec, y: str, z: str) -> float:
@@ -477,20 +469,16 @@ def postselected_acceptance(spec: ProtocolSpec, y: str, z: str) -> float:
         )
     full, _, m_axes, v_axes = _geometry(spec, None)
     dims = full.dims
+    d_m = spec.m_layout.total_dim
     rho = _challenge_move(spec, _zero_state(full.total_dim), dims, m_axes, v_axes, full)
-    y_idx = spec.m_layout.basis_index(y)
-    proj = basis_projector_array(dims, m_axes, y_idx)
-    conditioned = proj @ rho @ proj
-    p_y = float(np.trace(conditioned).real)
+    blocks = measure_array(rho, dims, _basis_effects(d_m), m_axes)
+    block = blocks[spec.m_layout.basis_index(y)]
+    p_y = float(np.trace(block).real)
     if p_y <= CONDITIONING_TOL:
         raise ConditioningError(f"challenge {y!r} has probability {p_y!r}; cannot condition")
-    sigma_v = partial_trace_array(conditioned, dims, v_axes) / p_y
-    z_vec = np.zeros(spec.m_layout.total_dim, dtype=np.complex128)
-    z_vec[spec.m_layout.basis_index(z)] = 1.0
-    rho2 = np.kron(np.outer(z_vec, z_vec), sigma_v)
-    mv_dims = spec.m_layout.dims + spec.v_layout.dims
-    mv_all = tuple(range(len(mv_dims)))
-    rho2 = apply_kraus_array(rho2, mv_dims, spec.v2.kraus_ops, mv_all)
+    z_vec = np.eye(d_m)[spec.m_layout.basis_index(z)]
+    rho2 = prepare_array([block / p_y], dims, [z_vec], m_axes)
+    rho2 = apply_kraus_array(rho2, dims, spec.v2.kraus_ops, tuple(m_axes) + tuple(v_axes))
     p = float(np.trace(spec.accept.entries @ rho2).real)
     if p < -1e-9 or p > 1 + 1e-9:
         raise NumericsError(f"conditional acceptance {p!r} escaped [0, 1]")
@@ -516,39 +504,29 @@ def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStr
     workspace = _workspace_of(spec, raw)
     pm = workspace.concat(spec.m_layout)
     _check_simulator_dimension(pm)
-    _check_channel_dims(raw.mix1, pm, "mix1")
-    _check_channel_dims(raw.mix2, pm, "mix2")
+    _check_prover(spec, raw)
     dims = pm.dims
     n_p = len(workspace.names)
     m_axes = tuple(range(n_p, len(dims)))
-    s_names = [n for n in workspace.names if n in raw.eb_labels]
-    r_names = [n for n in workspace.names if n not in raw.eb_labels]
-    s_axes = tuple(workspace.axis(n) for n in s_names)
-    r_axes = tuple(workspace.axis(n) for n in r_names)
-    s_layout = workspace.subset(s_names)
-    expected_in = s_layout.concat(spec.m_layout)
-    if raw.emit1.in_layout.dims != expected_in.dims or raw.emit2.in_layout.dims != expected_in.dims:
-        raise LayoutError("emission channels must read the (S, M) registers")
-
-    rho1 = apply_kraus_array(_zero_state(pm.total_dim), dims, raw.mix1.kraus_ops, tuple(range(len(dims))))
-    d_r = math.prod(dims[a] for a in r_axes) if r_axes else 1
-    d_s = s_layout.total_dim
+    s_axes = tuple(workspace.axis(n) for n in workspace.names if n in raw.eb_labels)
+    r_axes = tuple(workspace.axis(n) for n in workspace.names if n not in raw.eb_labels)
+    d_r = math.prod(dims[a] for a in r_axes)
+    d_s = math.prod(dims[a] for a in s_axes)
     d_m = spec.m_layout.total_dim
 
-    # move to (R, S, M) ordered basis once; everything below works there
-    order = tuple(r_axes) + s_axes + m_axes
-    perm = register_permutation(dims, order)
-    rho1 = perm @ rho1 @ dagger(perm)
-    mix2_ops = [perm @ k @ dagger(perm) for k in raw.mix2.kraus_ops]
+    rho1 = apply_kraus_array(_zero_state(pm.total_dim), dims, raw.mix1.kraus_ops, tuple(range(len(dims))))
+    # the residual workspace state of each branch, unnormalized, on R
+    effects = [e.entries for e in raw.emit1.povm.elements]
+    blocks = measure_array(rho1, dims, effects, s_axes + m_axes)
+    # the folded response works in the (R, S, M) ordered basis
+    mix2_ops = [reorder_array(k, dims, r_axes + s_axes + m_axes) for k in raw.mix2.kraus_ops]
 
     best: tuple[float, CanonicalStrategy] | None = None
-    for effect, prep in zip(raw.emit1.povm.elements, raw.emit1.preps):
-        e_full = np.kron(np.eye(d_r), effect.entries)
-        weighted = e_full @ rho1
-        q = float(np.trace(weighted).real)
+    for block, prep in zip(blocks, raw.emit1.preps):
+        q = float(np.trace(block).real)
         if q <= BRANCH_PROBABILITY_TOL:
             continue
-        sigma_r = partial_trace_array(weighted, (d_r, d_s * d_m), (0,)) / q
+        sigma_r = block / q
         sigma_r = (sigma_r + dagger(sigma_r)) / 2
         candidate = CanonicalStrategy(
             prep, _folded_response(raw, spec, sigma_r, mix2_ops, d_r, d_s, d_m)
@@ -616,6 +594,8 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
     labels = spec.m_layout.basis_labels()
     mv_axes = tuple(m_axes) + tuple(v_axes)
     v_zero = _zero_state(d_v)
+    basis = _basis_effects(d_m)
+    kets = np.eye(d_m)
     tables = {
         (y, z): np.zeros((d_m, d_m), dtype=np.complex128)
         for y in labels
@@ -623,19 +603,15 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
     }
     for j in range(d_m):
         for k in range(d_m):
-            unit = np.zeros((d_m, d_m), dtype=np.complex128)
-            unit[j, k] = 1.0
-            rho = np.kron(unit, v_zero)
+            rho = np.kron(np.outer(kets[j], kets[k]), v_zero)
             if 1 in spec.classical_rounds:
                 rho = dephase_axes(rho, dims, m_axes)
             rho = _challenge_move(spec, rho, dims, m_axes, v_axes, full)
+            # sigma_V of each challenge y, then |z><z| (x) sigma_V through v2 and the flag
+            blocks = measure_array(rho, dims, basis, m_axes)
             for y_idx, y in enumerate(labels):
-                proj = basis_projector_array(dims, m_axes, y_idx)
-                sigma_v = partial_trace_array(proj @ rho @ proj, dims, v_axes)
                 for z_idx, z in enumerate(labels):
-                    z_unit = np.zeros((d_m, d_m), dtype=np.complex128)
-                    z_unit[z_idx, z_idx] = 1.0
-                    rho2 = np.kron(z_unit, sigma_v)
+                    rho2 = prepare_array(blocks[y_idx, None], dims, kets[z_idx, None], m_axes)
                     rho2 = apply_kraus_array(rho2, dims, spec.v2.kraus_ops, mv_axes)
                     tables[(y, z)][k, j] = np.trace(spec.accept.entries @ rho2)
     ops = {}

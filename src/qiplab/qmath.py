@@ -5,6 +5,12 @@ register is the most significant index (row-major basis ordering).  All
 state and operator types validate their defining invariants at construction
 and hold read-only arrays, so instances may be shared freely across threads.
 
+The array helpers work on plain D x D arrays and address registers by
+axis: reorder_array moves registers, apply_kraus_array applies Kraus
+operators on target registers only, and measure_array / prepare_array
+contract stacked effects and prepared states, the two halves of a
+measure-and-prepare step.
+
 Intended for exact toy-scale work: the protocol simulator refuses total
 dimensions above qiplab.protocol.SIMULATOR_DIMENSION_BUDGET (1024).
 Nothing here is sparse, symbolic, or approximate.
@@ -346,30 +352,46 @@ def partial_trace_array(mat: np.ndarray, dims: Sequence[int], keep_axes: Sequenc
     return tens.reshape(d, d)
 
 
+def reorder_array(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
+    """Rows and columns of `mat` re-expressed with its registers in `order`.
+
+    `dims` are the register dimensions as `mat` has them, and register
+    order[p] moves to position p.  The entries are only moved, never
+    combined, so the result is exact.
+    """
+    dims = tuple(dims)
+    n = len(dims)
+    order = list(order)
+    if sorted(order) != list(range(n)):
+        raise LayoutError(f"{order!r} is not a permutation of {n} axes")
+    d = math.prod(dims)
+    return mat.reshape(dims + dims).transpose(order + [n + a for a in order]).reshape(d, d)
+
+
+def _restore(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
+    """Inverse of reorder_array(., dims, order), as a contiguous array."""
+    return np.ascontiguousarray(reorder_array(mat, [dims[a] for a in order], np.argsort(order)))
+
+
+def _target_first(dims: Sequence[int], target_axes: Sequence[int]):
+    """Register order (target, rest) and the two dimensions it splits into."""
+    target = list(target_axes)
+    order = target + [a for a in range(len(dims)) if a not in target]
+    d_t = math.prod(dims[a] for a in target)
+    return order, d_t, math.prod(dims) // d_t
+
+
 def embed_operator(op: np.ndarray, dims: Sequence[int], target_axes: Sequence[int]) -> np.ndarray:
     """Extend `op`, acting on the listed axes in the listed order, by identity.
 
     The target axes need not be contiguous or sorted; the operator's tensor
     factors are matched to `target_axes` positionally.
     """
-    dims = tuple(dims)
-    n = len(dims)
-    target = list(target_axes)
-    rest = [a for a in range(n) if a not in target]
-    d_target = math.prod(dims[a] for a in target)
-    d_rest = math.prod(dims[a] for a in rest) if rest else 1
+    order, d_target, d_rest = _target_first(dims, target_axes)
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (d_target, d_target):
         raise LayoutError(f"operator shape {op.shape} does not match target dims {d_target}")
-    full = np.kron(op, np.eye(d_rest, dtype=np.complex128))
-    order = target + rest
-    shaped = full.reshape(tuple(dims[a] for a in order) * 2)
-    inv = [0] * n
-    for pos, a in enumerate(order):
-        inv[a] = pos
-    perm = inv + [n + i for i in inv]
-    d = math.prod(dims)
-    return np.ascontiguousarray(shaped.transpose(perm).reshape(d, d))
+    return _restore(np.kron(op, np.eye(d_rest, dtype=np.complex128)), dims, order)
 
 
 def apply_kraus_array(
@@ -387,68 +409,63 @@ def apply_kraus_array(
     operator is 2 D^2 d_t instead of 2 D^3, and the operators are applied
     one at a time, so a few D x D arrays are live however many there are.
     """
-    dims = tuple(dims)
-    n = len(dims)
-    target = list(target_axes)
-    order = target + [a for a in range(n) if a not in target]
-    d = math.prod(dims)
-    d_t = math.prod(dims[a] for a in target)
+    order, d_t, d_r = _target_first(dims, target_axes)
+    d = d_t * d_r
     ks = [np.asarray(k, dtype=np.complex128) for k in kraus]
     for k in ks:
         if k.shape != (d_t, d_t):
             raise LayoutError(f"operator shape {k.shape} does not match target dims {d_t}")
-    moved = rho.reshape(dims + dims).transpose(order + [n + a for a in order]).reshape(d_t, -1)
-    acc = np.zeros((d_t, d * d // d_t), dtype=np.complex128)
+    moved = reorder_array(rho, dims, order).reshape(d_t, -1)
+    acc = np.zeros((d_t, d * d_r), dtype=np.complex128)
     for k in ks:
         half = (k @ moved).reshape(d, d)
         acc += k.conj() @ half.T.reshape(d_t, -1)
-    inv = [order.index(a) for a in range(n)]
-    out = acc.reshape(tuple(dims[a] for a in order) * 2).transpose([n + i for i in inv] + inv)
-    return np.ascontiguousarray(out.reshape(d, d))
+    return _restore(acc.reshape(d, d).T, dims, order)
 
 
 def dephase_axes(rho: np.ndarray, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:
     """Zero every element off-diagonal in the computational basis of `axes`."""
-    dims = tuple(dims)
-    n = len(dims)
-    target = list(axes)
-    rest = [a for a in range(n) if a not in target]
-    order = target + rest
-    d_t = math.prod(dims[a] for a in target)
-    d_r = math.prod(dims[a] for a in rest) if rest else 1
-    inv = [0] * n
-    for pos, a in enumerate(order):
-        inv[a] = pos
-    fwd = order + [n + a for a in order]
-    shaped = rho.reshape(dims + dims).transpose(fwd).reshape(d_t, d_r, d_t, d_r)
+    order, d_t, d_r = _target_first(dims, axes)
+    shaped = reorder_array(rho, dims, order).reshape(d_t, d_r, d_t, d_r)
     shaped = shaped * np.eye(d_t)[:, None, :, None]
-    back = inv + [n + i for i in inv]
-    d = math.prod(dims)
-    out = shaped.reshape(tuple(dims[a] for a in order) * 2).transpose(back)
-    return np.ascontiguousarray(out.reshape(d, d))
+    return _restore(shaped.reshape(d_t * d_r, -1), dims, order)
 
 
-def register_permutation(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Unitary relabeling the basis from layout order to `order`.
+def measure_array(
+    rho: np.ndarray, dims: Sequence[int], effects: Sequence[np.ndarray], axes: Sequence[int]
+) -> np.ndarray:
+    """Stack of the blocks tr_t[(E_l (x) I) rho] on the registers outside `axes`.
 
-    Row index runs over the permuted register order, column over the
-    original, so P @ rho @ P.T.conj() re-expresses rho with registers
-    reordered as `order`.
+    The effects' tensor factors are matched to `axes` positionally; the
+    blocks keep the other registers in layout order (1 x 1 when there are
+    none).  With rho arranged as (t, t') x (r, r'), the blocks are one
+    product with the stacked transposed effects: work 2 L D^2 for L
+    effects, whether or not rho is Hermitian.
     """
-    dims = tuple(dims)
-    n = len(dims)
-    if sorted(order) != list(range(n)):
-        raise LayoutError(f"{order!r} is not a permutation of {n} axes")
-    d = math.prod(dims)
-    src = np.arange(d).reshape(dims).transpose(order).reshape(-1)
-    p = np.zeros((d, d), dtype=np.complex128)
-    p[np.arange(d), src] = 1.0
-    return p
+    order, d_t, d_r = _target_first(dims, axes)
+    eff = np.asarray(effects, dtype=np.complex128)
+    if eff.shape[1:] != (d_t, d_t):
+        raise LayoutError(f"effects of shape {eff.shape} do not match target dims {d_t}")
+    moved = reorder_array(rho, dims, order).reshape(d_t, d_r, d_t, d_r).transpose(0, 2, 1, 3)
+    flat = eff.transpose(0, 2, 1).reshape(len(eff), -1)
+    return (flat @ moved.reshape(d_t * d_t, -1)).reshape(-1, d_r, d_r)
 
 
-def basis_projector_array(dims: Sequence[int], axes: Sequence[int], index: int) -> np.ndarray:
-    """Projector onto basis state `index` of the listed axes, identity elsewhere."""
-    d_t = math.prod(tuple(dims)[a] for a in axes)
-    proj = np.zeros((d_t, d_t), dtype=np.complex128)
-    proj[index, index] = 1.0
-    return embed_operator(proj, dims, axes)
+def prepare_array(
+    blocks: np.ndarray, dims: Sequence[int], preps: Sequence[np.ndarray], axes: Sequence[int]
+) -> np.ndarray:
+    """Sum_l |phi_l><phi_l| (x) blocks[l], with phi_l written on `axes`.
+
+    The inverse arrangement of measure_array: `dims` is the output layout,
+    the vectors' tensor factors are matched to `axes` positionally, and
+    blocks[l] lives on the other registers in layout order.  One product of
+    the stacked projectors with the stacked blocks: work 2 L D^2.
+    """
+    order, d_t, d_r = _target_first(dims, axes)
+    phis = np.asarray(preps, dtype=np.complex128)
+    blocks = np.asarray(blocks)
+    if phis.shape[1:] != (d_t,) or blocks.shape != (len(phis), d_r, d_r):
+        raise LayoutError(f"vectors {phis.shape} and blocks {blocks.shape} do not fit {d_t}, {d_r}")
+    projectors = (phis[:, :, None] * phis[:, None, :].conj()).reshape(len(phis), -1)
+    pairs = (projectors.T @ blocks.reshape(len(phis), -1)).reshape(d_t, d_t, d_r, d_r)
+    return _restore(pairs.transpose(0, 2, 1, 3).reshape(d_t * d_r, -1), dims, order)

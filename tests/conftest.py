@@ -20,7 +20,8 @@ settings.load_profile("qiplab")
 PACKAGE_ROOT = Path(qiplab.__file__).resolve().parent.parent
 
 
-def _child_env(threads):
+@pytest.fixture
+def cli_env():
     """Environment for a child interpreter that must import this very qiplab.
 
     A relative ``PYTHONPATH`` such as ``src`` stops resolving once the child
@@ -29,24 +30,18 @@ def _child_env(threads):
     """
     inherited = os.environ.get("PYTHONPATH")
     path = os.pathsep.join([str(PACKAGE_ROOT), inherited] if inherited else [str(PACKAGE_ROOT)])
-    return {**os.environ, "PYTHONPATH": path, "LAB_THREADS": threads}
-
-
-@pytest.fixture
-def cli_env():
-    """``cli_env(threads)`` is the environment for a fresh child interpreter."""
-    return _child_env
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture
 def run_cli(cli_env):
-    """``run_cli(args, cwd, threads, stdin)`` runs ``python -m qiplab.cli ARGS`` in ``cwd``."""
+    """``run_cli(args, cwd, stdin)`` runs ``python -m qiplab.cli ARGS`` in ``cwd``."""
 
-    def run(args, cwd, threads="1", stdin=None):
+    def run(args, cwd, stdin=None):
         return subprocess.run(
             [sys.executable, "-m", "qiplab.cli", *args],
             cwd=cwd,
-            env=cli_env(threads),
+            env=cli_env,
             input=stdin,
             capture_output=True,
             timeout=120,

@@ -205,7 +205,7 @@ def test_cli_children_import_the_package_under_test(tmp_path, cli_env):
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         cwd=tmp_path,
-        env=cli_env("1"),
+        env=cli_env,
         capture_output=True,
         text=True,
         timeout=120,
@@ -224,7 +224,7 @@ def test_cli_import_leaves_scipy_spatial_unloaded(tmp_path, cli_env):
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         cwd=tmp_path,
-        env=cli_env("1"),
+        env=cli_env,
         capture_output=True,
         text=True,
         timeout=120,

@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qiplab import (
     BudgetError,
@@ -31,8 +34,12 @@ from qiplab.protocol import (
     run_interaction,
     verifier_message_distribution,
 )
+from qiplab.qmath import apply_kraus_array
 from qiplab.random_instances import (
     random_classical_response,
+    random_density,
+    random_eb_channel,
+    random_kraus_channel,
     random_qcip2_spec,
     random_raw_prover,
     random_verifier_spec,
@@ -116,17 +123,24 @@ def test_family_extraction_reproduces_simulated_acceptance():
         assert acceptance_probability(spec, prover) == pytest.approx(predicted, abs=1e-10)
 
 
-def test_canonical_form_never_loses_acceptance_probability():
-    for trial in range(10):
-        rng = derived_rng(31, "canon", trial)
-        spec = random_verifier_spec(rng, classical=())
-        raw = random_raw_prover(rng, spec)
-        raw_value = acceptance_probability(spec, raw)
-        canonical = canonicalize_prover(spec, raw)
-        assert isinstance(canonical, CanonicalStrategy)
-        value = acceptance_probability(spec, canonical)
-        assert value >= raw_value - 1e-9
-        assert value <= 1 + 1e-9
+@given(
+    st.integers(2, 4),
+    st.integers(2, 3),
+    st.integers(2, 3),
+    st.sampled_from([(), (2,), (2, 3), (1, 2, 3)]),
+    st.integers(0, 2**32 - 1),
+)
+@example(2, 2, 2, (), 0)
+def test_canonical_form_never_loses_acceptance_probability(w_dim, s_dim, v_dim, classical, seed):
+    rng = np.random.default_rng(seed)
+    spec = random_verifier_spec(rng, v_dim=v_dim, classical=classical)
+    raw = random_raw_prover(rng, spec, workspace=RegisterLayout(("W", "S"), (w_dim, s_dim)))
+    raw_value = acceptance_probability(spec, raw)
+    canonical = canonicalize_prover(spec, raw)
+    assert isinstance(canonical, CanonicalStrategy)
+    value = acceptance_probability(spec, canonical)
+    assert value >= raw_value - 1e-9
+    assert value <= 1 + 1e-9
 
 
 def test_single_branch_canonicalization_is_exact():
@@ -171,14 +185,98 @@ def test_simulator_dimension_budget_is_checked_before_allocating(monkeypatch):
     def no_allocation(*args):
         raise AssertionError("a simulator array was allocated")
 
-    monkeypatch.setattr(protocol, "_zero_state", no_allocation)
-    monkeypatch.setattr(protocol, "apply_kraus_array", no_allocation)
+    for name in ("_zero_state", "apply_kraus_array", "measure_array", "prepare_array"):
+        monkeypatch.setattr(protocol, name, no_allocation)
     # (W, S, M) has dimension 2048 and (W, S, M, V) 16384; the channels stay
     # small, because the sizes are checked before anything reads them
     big = dataclasses.replace(raw, workspace=RegisterLayout(("W", "S"), (512, 2)))
     for simulate in (run_interaction, canonicalize_prover):
         with pytest.raises(BudgetError, match="simulator budget"):
             simulate(spec, big)
+
+
+def misfit_prover(spec, form):
+    """A prover for `spec` with one channel or state on the wrong registers.
+
+    The entangled and raw misfits keep the total dimension, so only a check
+    of the register dimensions notices them.
+    """
+    rng = derived_rng(35, "misfit", form)
+    if form == "entangled":
+        wrong = RegisterLayout(("A",), (4,))  # (P, M) is (2, 2)
+        return dataclasses.replace(bell_chsh_prover(), respond=random_kraus_channel(rng, wrong))
+    if form == "raw":
+        raw = random_raw_prover(rng, spec, workspace=RegisterLayout(("W", "S"), (3, 2)))
+        wrong = RegisterLayout(("A", "B", "C"), (2, 3, 2))  # (W, S, M) is (3, 2, 2)
+        return dataclasses.replace(raw, mix2=random_kraus_channel(rng, wrong))
+    psi = PureState.basis(spec.m_layout, 0)
+    if form == "canonical":
+        return CanonicalStrategy(psi, random_eb_channel(rng, RegisterLayout(("A",), (3,))))
+    return ClassicalResponseStrategy(
+        PureState.basis(RegisterLayout(("A",), (3,)), 0), {"0": "0", "1": "1"}
+    )
+
+
+@pytest.mark.parametrize("form", ["entangled", "raw", "canonical", "classical"])
+def test_every_prover_channel_is_checked_before_allocating(monkeypatch, form):
+    spec, _ = chsh_protocol()
+    prover = misfit_prover(spec, form)
+
+    def no_allocation(*args):
+        raise AssertionError("a simulator array was allocated")
+
+    monkeypatch.setattr(protocol, "_zero_state", no_allocation)
+    with pytest.raises(LayoutError):
+        run_interaction(spec, prover)
+    if form == "raw":
+        with pytest.raises(LayoutError):
+            canonicalize_prover(spec, prover)
+
+
+@st.composite
+def measure_prepare_cases(draw):
+    """Registers, a target-axis subset in any order whose leading registers
+    are reset, a POVM size and an input.
+
+    The input is a random density matrix or a matrix unit |j><k|, which is
+    not Hermitian for j != k.
+    """
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=4)))
+    order = draw(st.permutations(range(len(dims))))
+    target = tuple(order[: draw(st.integers(1, len(dims)))])
+    n_reset = draw(st.integers(0, len(target) - 1))
+    n_outcomes = draw(st.integers(1, 4))
+    unit = draw(st.none() | st.tuples(st.integers(0, 80), st.integers(0, 80)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return dims, target, n_reset, n_outcomes, unit, seed
+
+
+@given(measure_prepare_cases())
+@example(((2, 3, 2, 3), (3, 0, 1), 1, 3, (5, 30), 0))
+@example(((3, 2, 2), (2, 0), 0, 2, None, 1))
+def test_measure_and_prepare_matches_the_kraus_form(case):
+    dims, target, n_reset, n_outcomes, unit, seed = case
+    rng = np.random.default_rng(seed)
+    names = tuple(f"R{i}" for i in range(len(dims)))
+
+    def layout(axes):
+        return RegisterLayout(tuple(names[a] for a in axes), tuple(dims[a] for a in axes))
+
+    reset, out = target[:n_reset], target[n_reset:]
+    channel = random_eb_channel(rng, layout(target), layout(out), n_outcomes)
+    d = math.prod(dims)
+    if unit is None:
+        rho = random_density(rng, layout(range(len(dims)))).entries
+    else:
+        rho = np.zeros((d, d), dtype=np.complex128)
+        rho[unit[0] % d, unit[1] % d] = 1.0
+    # reference: the Kraus form of the channel followed by |0> on the reset registers
+    zero = np.eye(math.prod(dims[a] for a in reset))[:, :1]
+    kraus = [np.kron(zero, k) for k in channel.to_kraus().kraus_ops]
+    want = apply_kraus_array(rho, dims, kraus, target)
+    got = protocol._measure_prepare(rho, dims, channel, out, reset)
+    assert got.shape == (d, d)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_postselection_recomposes_the_total_acceptance():

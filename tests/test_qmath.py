@@ -13,14 +13,16 @@ from qiplab.qmath import (
     PureState,
     RegisterLayout,
     apply_kraus_array,
-    basis_projector_array,
     born_probability,
     dephase_axes,
     embed_operator,
     hermitian_eig,
+    measure_array,
     partial_trace,
+    partial_trace_array,
     partial_transpose,
-    register_permutation,
+    prepare_array,
+    reorder_array,
     tensor,
 )
 from qiplab.random_instances import random_density, random_effect, random_povm, random_pure
@@ -230,22 +232,36 @@ def test_dephase_axes_kills_off_diagonals():
     assert np.allclose(full, np.diag(np.diag(rho)))
 
 
-def test_register_permutation_roundtrip():
+def test_reorder_array_roundtrip():
     dims = (2, 3, 2)
     rng = np.random.default_rng(13)
     rho = random_density(rng, RegisterLayout(("A", "B", "C"), dims)).entries
-    p = register_permutation(dims, (2, 0, 1))
-    moved = p @ rho @ p.conj().T
-    oracle = rho.reshape(dims + dims).transpose(2, 0, 1, 5, 3, 4).reshape(12, 12)
-    assert np.max(np.abs(moved - oracle)) < 1e-12
-    assert np.allclose(p @ p.conj().T, np.eye(12))
+    moved = reorder_array(rho, dims, (2, 0, 1))
+    # oracle: the permutation matrix sending basis state (a, b, c) to (c, a, b)
+    perm = np.zeros((12, 12))
+    for a in range(2):
+        for b in range(3):
+            for c in range(2):
+                perm[(c * 2 + a) * 3 + b, (a * 3 + b) * 2 + c] = 1.0
+    assert np.array_equal(moved, perm @ rho @ perm.T)
+    # (c, a, b) back to (a, b, c)
+    assert np.array_equal(reorder_array(moved, (2, 2, 3), (1, 2, 0)), rho)
+    with pytest.raises(LayoutError):
+        reorder_array(rho, dims, (0, 0, 1))
 
 
-def test_basis_projector_array():
-    proj = basis_projector_array((2, 2), (1,), 1)
-    state = np.kron(KET_PLUS, KET_PLUS)
-    out = proj @ np.outer(state, state.conj()) @ proj
-    assert abs(np.trace(out).real - 0.5) < 1e-12
+def test_measure_and_prepare_reject_misshaped_inputs():
+    rho = np.eye(12, dtype=np.complex128) / 12
+    dims = (2, 3, 2)
+    # identity effects on (C, A) leave the partial trace on B
+    blocks = measure_array(rho, dims, [np.eye(4)], (2, 0))
+    assert np.allclose(blocks[0], partial_trace_array(rho, dims, (1,)))
+    with pytest.raises(LayoutError):
+        measure_array(rho, dims, [np.eye(3)], (2, 0))
+    with pytest.raises(LayoutError):
+        prepare_array(blocks, dims, [np.ones(3)], (2, 0))
+    with pytest.raises(LayoutError):
+        prepare_array(blocks, dims, [np.ones(4), np.ones(4)], (2, 0))
 
 
 def embedded_kraus_sum(rho, dims, kraus, target_axes):
