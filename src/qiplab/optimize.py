@@ -9,8 +9,13 @@ multiset of challenges approximates the uniform value.  majority_amplify
 does the parallel-repetition bookkeeping exactly.
 
 Everything is deterministic given a seed: per-restart and per-trial RNG
-streams derive from independent seed paths, and restarts and trials run
-one after another in index order.
+streams derive from independent seed paths.  The solvers work on stacks:
+the exhaustive search diagonalizes a block of response maps at once, the
+subsampling trials are rows of one weight stack evaluated together with
+the uniform row, and the see-saw restarts advance in lockstep, a restart
+leaving the stack once it stops.  Each matrix in a stack goes through the
+same LAPACK and BLAS calls, in the same order, as it would alone, so the
+results do not depend on how many restarts, trials or maps share a stack.
 """
 
 from __future__ import annotations
@@ -38,11 +43,21 @@ NET_RESOLUTION_BUDGET = 10**5
 # restart diagonalizes a dense matrix of that size (about 40 ms at 256 and
 # 1.5 s at 1024 on a 2-core host, for up to max_iters * restarts iterations).
 SEESAW_DIMENSION_BUDGET = 256
+# Largest see-saw restart count, subsampling trial count, and number of
+# challenges drawn over all trials (r * trials, one trial's draws being one
+# array of r integers).  On CHSH on a 2-core host the largest accepted runs
+# take about 3.3 s (2**15 restarts), 2.7 s (5 * 10**4 trials) and 0.2 s
+# (10**7 draws, 80 MB for a single trial's draws).
+SEESAW_RESTART_BUDGET = 2**15
+SUBSAMPLE_TRIAL_BUDGET = 5 * 10**4
+SUBSAMPLE_DRAW_BUDGET = 10**7
 ITERATE_MONOTONE_TOL = 1e-12
 VALUE_RANGE_TOL = 1e-9
 RESPONSE_ALPHABET_CAP = 8
-# Response maps evaluated together by the exhaustive and the net search.
-RESPONSE_MAP_BLOCK = 512
+# Elements (16 MB of complex128) of the largest intermediate one stack of
+# response maps, weight rows or see-saw restarts may have; longer stacks are
+# cut into chunks, so memory does not grow with maps, trials or restarts.
+STACK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -75,9 +90,7 @@ class ValueReport:
     net_error: float | None = None
 
     def __post_init__(self):
-        if not -VALUE_RANGE_TOL <= self.value <= 1 + VALUE_RANGE_TOL:
-            raise NumericsError(f"value {self.value!r} escaped [0, 1]")
-        object.__setattr__(self, "value", min(max(self.value, 0.0), 1.0))
+        object.__setattr__(self, "value", _unit_value(self.value))
         for run in self.iterates:
             for prev, cur in zip(run, run[1:]):
                 if cur < prev - ITERATE_MONOTONE_TOL:
@@ -86,6 +99,13 @@ class ValueReport:
                     )
         if self.net_error is not None and self.net_error < 0:
             raise NumericsError(f"negative net error {self.net_error!r}")
+
+
+def _unit_value(value: float) -> float:
+    """A prover value clamped into [0, 1]; more than VALUE_RANGE_TOL outside is a fault."""
+    if not -VALUE_RANGE_TOL <= value <= 1 + VALUE_RANGE_TOL:
+        raise NumericsError(f"value {value!r} escaped [0, 1]")
+    return min(max(value, 0.0), 1.0)
 
 
 class SubsampleReport(NamedTuple):
@@ -143,17 +163,57 @@ def _check_enumeration_budget(fam: MeasurementFamily):
         )
 
 
-def _response_map_blocks(arr: np.ndarray):
-    """Yield every response map g in lexicographic order, in blocks.
+def _chunks(count: int, elements_each: int):
+    """Consecutive slices of range(count) whose items hold at most
+    STACK_ELEMENTS elements together (at least one item each)."""
+    step = max(1, STACK_ELEMENTS // elements_each)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
-    Each block is a list of tables (tuples of response indices, one per
-    challenge) and the stacked operators sum_y arr[y, g(y)], one per table.
+
+def _response_map_blocks(n_y: int, n_z: int, elements_each: int):
+    """Every response map g in lexicographic order, as blocks of tables.
+
+    Each block is an int array with one row (g(y) for each challenge y) per
+    map, and at most STACK_ELEMENTS // elements_each rows (at least one).
     """
-    n_y, n_z = arr.shape[:2]
-    y_index = np.arange(n_y)
     tables = itertools.product(range(n_z), repeat=n_y)
-    while block := list(itertools.islice(tables, RESPONSE_MAP_BLOCK)):
-        yield block, arr[y_index[None, :], np.array(block)].sum(axis=1)
+    step = max(1, STACK_ELEMENTS // elements_each)
+    while block := list(itertools.islice(tables, step)):
+        yield np.array(block, dtype=np.intp)
+
+
+def _exact_values(fam: MeasurementFamily, weights: np.ndarray):
+    """Exact classical-response optimum for each row of challenge weights.
+
+    Returns each row's value, its best response table (the lowest map index
+    on ties) and the top eigenvector of that table's averaged operator.
+    """
+    arr = _family_array(fam)
+    n_y, n_z, d, _ = arr.shape
+    n_rows = len(weights)
+    y_index = np.arange(n_y)
+    values = np.empty(n_rows)
+    tables = np.zeros((n_rows, n_y), dtype=np.intp)
+    states = np.empty((n_rows, d), dtype=np.complex128)
+    for rows in _chunks(n_rows, n_y * d * d):
+        w = weights[rows, None, :, None, None]
+        index = np.arange(len(w))
+        best = np.full(len(w), -np.inf)
+        averaged = np.empty((len(w), d, d), dtype=np.complex128)
+        for block in _response_map_blocks(n_y, n_z, len(w) * n_y * d * d):
+            stacked = (arr[y_index, block] * w).sum(axis=2)
+            tops = np.linalg.eigvalsh(stacked)[..., -1]
+            winner = np.argmax(tops, axis=1)
+            top = tops[index, winner]
+            better = top > best
+            best[better] = top[better]
+            tables[rows][better] = block[winner[better]]
+            averaged[better] = stacked[better, winner[better]]
+        vals, vecs = hermitian_eig(averaged)
+        values[rows] = vals[:, 0]
+        states[rows] = vecs[:, :, 0]
+    return values, tables, states
 
 
 def exact_classical_response_value(
@@ -167,88 +227,110 @@ def exact_classical_response_value(
     """
     _check_enumeration_budget(fam)
     w = _weight_vector(fam, weights)
-    arr = _family_array(fam) * w[:, None, None, None]
-    best_value = -np.inf
-    best_table: tuple[int, ...] | None = None
-    for block, stacked in _response_map_blocks(arr):
-        tops = np.linalg.eigvalsh(stacked)[:, -1]
-        i = int(np.argmax(tops))
-        if tops[i] > best_value:
-            best_value = float(tops[i])
-            best_table = block[i]
-    averaged = arr[np.arange(len(fam.challenges)), list(best_table)].sum(axis=0)
-    vals, vecs = hermitian_eig(averaged)
+    values, tables, states = _exact_values(fam, w[None, :])
     witness = {
-        "responses": {y: fam.responses[z] for y, z in zip(fam.challenges, best_table)},
-        "state": PureState(fam.layout, vecs[:, 0]),
+        "responses": {y: fam.responses[z] for y, z in zip(fam.challenges, tables[0])},
+        "state": PureState(fam.layout, states[0]),
     }
-    return ValueReport(float(vals[0]), witness, (), "exhaustive")
+    return ValueReport(float(values[0]), witness, (), "exhaustive")
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh((mat + dagger(mat)) / 2)
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ dagger(vecs)
+    return (vecs * np.sqrt(vals)[..., None, :]) @ dagger(vecs)
 
 
 def _nonneg_eigenspace_projector(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh((mat + dagger(mat)) / 2)
-    keep = vecs[:, vals >= 0]
-    return keep @ dagger(keep)
+    out = np.empty_like(vecs)
+    kept = np.count_nonzero(vals >= 0, axis=-1)
+    # eigh sorts ascending, so the kept eigenvectors are the last columns;
+    # matrices keeping equally many share one product of that width
+    for width in np.unique(kept):
+        same = kept == width
+        keep = np.ascontiguousarray(vecs[same][..., vecs.shape[-1] - width :])
+        out[same] = keep @ dagger(keep)
+    return out
 
 
-def _measurement_step(povms, steering):
-    """One coordinate-ascent sweep of the response POVM for one challenge.
+def _measurement_step(povms: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    """One coordinate-ascent sweep of every response POVM in the stack.
 
-    Binary alphabets get the closed-form optimum; larger ones sweep ordered
-    pairs, reoptimizing each pair inside its combined budget R.
+    ``povms`` and ``steering`` have shape (..., n_z, k, k), one POVM per
+    leading index.  Binary alphabets get the closed-form optimum; larger
+    ones sweep ordered pairs, reoptimizing each pair inside its combined
+    budget R.
     """
-    n_z = len(povms)
+    n_z = povms.shape[-3]
     if n_z == 1:
         return povms
     if n_z == 2:
-        proj = _nonneg_eigenspace_projector(steering[0] - steering[1])
-        return [proj, np.eye(proj.shape[0]) - proj]
-    povms = [p.copy() for p in povms]
+        proj = _nonneg_eigenspace_projector(steering[..., 0, :, :] - steering[..., 1, :, :])
+        return np.stack([proj, np.eye(proj.shape[-1]) - proj], axis=-3)
+    povms = povms.copy()
     for i, j in itertools.combinations(range(n_z), 2):
-        budget = povms[i] + povms[j]
+        budget = povms[..., i, :, :] + povms[..., j, :, :]
         root = _psd_sqrt(budget)
-        inner = _nonneg_eigenspace_projector(root @ (steering[i] - steering[j]) @ root)
+        inner = _nonneg_eigenspace_projector(
+            root @ (steering[..., i, :, :] - steering[..., j, :, :]) @ root
+        )
         a_i = root @ inner @ root
-        povms[i] = (a_i + dagger(a_i)) / 2
-        povms[j] = budget - povms[i]
+        povms[..., i, :, :] = (a_i + dagger(a_i)) / 2
+        povms[..., j, :, :] = budget - povms[..., i, :, :]
     return povms
 
 
-def _seesaw_restart(fam_arr, w, dim_keep, cfg, restart):
+def _seesaw_lockstep(fam_arr, w, dim_keep, cfg, restarts: range):
+    """Run the given restarts side by side until each one stops.
+
+    Every iteration updates the POVMs and the shared state of all running
+    restarts in one stack; a restart whose gain falls below the convergence
+    tolerance (or that reaches max_iters) leaves the stack with its trace,
+    final state and POVMs.
+    """
     n_y, n_z, d_m, _ = fam_arr.shape
-    rng = derived_rng(cfg.seed, "seesaw", restart)
-    raw = rng.normal(size=dim_keep * d_m) + 1j * rng.normal(size=dim_keep * d_m)
-    psi = raw / np.linalg.norm(raw)
-    povms = None
-    iterates: list[float] = []
-    for _ in range(cfg.max_iters):
-        window = psi.reshape(dim_keep, d_m)
-        new_povms = []
-        for i in range(n_y):
-            steering = [window @ fam_arr[i, j].T @ dagger(window) for j in range(n_z)]
-            current = povms[i] if povms is not None else [
-                np.eye(dim_keep, dtype=np.complex128) / n_z for _ in range(n_z)
-            ]
-            new_povms.append(_measurement_step(current, steering))
-        povms = new_povms
-        stacked = np.zeros((dim_keep * d_m,) * 2, dtype=np.complex128)
+    dim = dim_keep * d_m
+    starts = []
+    for restart in restarts:
+        rng = derived_rng(cfg.seed, "seesaw", restart)
+        raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        starts.append(raw / np.linalg.norm(raw))
+    psi = np.stack(starts)
+    povms = np.broadcast_to(
+        np.eye(dim_keep, dtype=np.complex128) / n_z,
+        (len(restarts), n_y, n_z, dim_keep, dim_keep),
+    )
+    running = np.arange(len(restarts))
+    traces: list[list[float]] = [[] for _ in restarts]
+    finals: list = [None] * len(restarts)
+    previous = None
+    for iteration in range(cfg.max_iters):
+        window = psi.reshape(-1, 1, 1, dim_keep, d_m)
+        steering = (window @ fam_arr.swapaxes(-1, -2)) @ dagger(window)
+        povms = _measurement_step(povms, steering)
+        averaged = np.zeros((len(running), dim, dim), dtype=np.complex128)
         for i in range(n_y):
             for j in range(n_z):
-                stacked += w[i] * np.kron(povms[i][j], fam_arr[i, j])
-        vals, vecs = np.linalg.eigh((stacked + dagger(stacked)) / 2)
-        psi = vecs[:, -1]
-        value = float(vals[-1])
-        previous = iterates[-1] if iterates else None
-        iterates.append(value)
-        if previous is not None and value - previous < cfg.convergence_tol:
+                kron = povms[:, i, j, :, None, :, None] * fam_arr[i, j, None, :, None, :]
+                averaged += w[i] * kron.reshape(-1, dim, dim)
+        vals, vecs = np.linalg.eigh((averaged + dagger(averaged)) / 2)
+        psi = vecs[:, :, -1]
+        values = vals[:, -1]
+        for r, value in zip(running, values.tolist()):
+            traces[r].append(value)
+        if previous is None:
+            converged = np.zeros(len(running), dtype=bool)
+        else:
+            converged = values - previous < cfg.convergence_tol
+        stopped = converged | (iteration == cfg.max_iters - 1)
+        for k in np.flatnonzero(stopped):
+            finals[running[k]] = (psi[k].copy(), povms[k].copy())
+        keep = ~stopped
+        running, psi, povms, previous = running[keep], psi[keep], povms[keep], values[keep]
+        if not len(running):
             break
-    return iterates[-1], tuple(iterates), psi, povms
+    return traces, finals
 
 
 def seesaw_entangled_value(
@@ -264,33 +346,49 @@ def seesaw_entangled_value(
     best shared state is the top eigenvector of the averaged operator;
     fixing the state, each challenge's POVM is reoptimized coordinate-wise.
     Both steps are monotone, so each restart's trace is non-decreasing.
+    The restarts run in lockstep, in chunks of at most STACK_ELEMENTS.
     """
     cfg = config or OptimizerConfig()
     if len(fam.responses) > RESPONSE_ALPHABET_CAP:
         raise BudgetError(
             f"response alphabets above {RESPONSE_ALPHABET_CAP} are not supported"
         )
+    if cfg.restarts > SEESAW_RESTART_BUDGET:
+        raise BudgetError(
+            f"{cfg.restarts} restarts exceed the see-saw restart budget {SEESAW_RESTART_BUDGET}"
+        )
     w = _weight_vector(fam, weights)
     fam_arr = _family_array(fam)
     dim_keep = fam.layout.total_dim if keep_dim is None else int(keep_dim)
     if dim_keep < 1:
         raise ValidationError(f"keep_dim must be >= 1, got {keep_dim}")
-    if dim_keep * fam.layout.total_dim > SEESAW_DIMENSION_BUDGET:
+    d_m = fam.layout.total_dim
+    if dim_keep * d_m > SEESAW_DIMENSION_BUDGET:
         raise BudgetError(
-            f"keep_dim {dim_keep} times message dimension {fam.layout.total_dim} exceeds "
+            f"keep_dim {dim_keep} times message dimension {d_m} exceeds "
             f"the see-saw budget {SEESAW_DIMENSION_BUDGET}"
         )
-    runs = [_seesaw_restart(fam_arr, w, dim_keep, cfg, r) for r in range(cfg.restarts)]
-    best = max(range(cfg.restarts), key=lambda r: runs[r][0])
-    value, _, psi, povms = runs[best]
+    n_y, n_z = len(fam.challenges), len(fam.responses)
+    per_restart = max((dim_keep * d_m) ** 2, n_y * n_z * dim_keep * max(dim_keep, d_m))
+    traces: list[list[float]] = []
+    finals: list = []
+    for chunk in _chunks(cfg.restarts, per_restart):
+        chunk_traces, chunk_finals = _seesaw_lockstep(
+            fam_arr, w, dim_keep, cfg, range(cfg.restarts)[chunk]
+        )
+        traces += chunk_traces
+        finals += chunk_finals
+    best = max(range(cfg.restarts), key=lambda r: traces[r][-1])
+    psi, povms = finals[best]
     witness = {
         "state": psi,
         "povms": {
-            y: tuple(povms[i][j] for j in range(len(fam.responses)))
-            for i, y in enumerate(fam.challenges)
+            y: tuple(povms[i][j] for j in range(n_z)) for i, y in enumerate(fam.challenges)
         },
     }
-    return ValueReport(value, witness, tuple(run[1] for run in runs), "seesaw")
+    return ValueReport(
+        traces[best][-1], witness, tuple(tuple(trace) for trace in traces), "seesaw"
+    )
 
 
 def fibonacci_sphere_states(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -352,10 +450,14 @@ def brute_force_unentangled_value(
     fam = joint_response_operators(spec)
     _check_enumeration_budget(fam)
     points, states = fibonacci_sphere_states(cfg.net_resolution)
+    arr = _family_array(fam)
+    n_y, n_z = arr.shape[:2]
+    y_index = np.arange(n_y)
     best_value = -np.inf
-    best_table: tuple[int, ...] | None = None
+    best_table = None
     best_state = 0
-    for block, stacked in _response_map_blocks(_family_array(fam)):
+    for block in _response_map_blocks(n_y, n_z, cfg.net_resolution * d):
+        stacked = arr[y_index, block].sum(axis=1)
         eigs = np.linalg.eigvalsh(stacked)
         if eigs.min() < -VALUE_RANGE_TOL or eigs.max() > 1 + VALUE_RANGE_TOL:
             raise NumericsError("a response map's acceptance operator escaped [0, I]")
@@ -410,6 +512,8 @@ def subsampling_experiment(
     Each trial draws r challenges with replacement, recomputes the exact
     classical-response value under the empirical challenge distribution,
     and records |LHS - RHS|; the failure fraction counts deviations > eps.
+    The uniform weights and every trial's empirical weights are rows of
+    one stack, solved together.
     """
     if r < 1:
         raise ValidationError(f"r must be >= 1, got {r}")
@@ -417,14 +521,25 @@ def subsampling_experiment(
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if not eps > 0:
         raise ValidationError(f"eps must be > 0, got {eps}")
-    lhs = exact_classical_response_value(fam, None).value
-    rhs_values = []
+    if trials > SUBSAMPLE_TRIAL_BUDGET:
+        raise BudgetError(
+            f"{trials} trials exceed the subsampling trial budget {SUBSAMPLE_TRIAL_BUDGET}"
+        )
+    if r * trials > SUBSAMPLE_DRAW_BUDGET:
+        raise BudgetError(
+            f"r={r} times {trials} trials exceeds the subsampling draw budget "
+            f"{SUBSAMPLE_DRAW_BUDGET}"
+        )
+    _check_enumeration_budget(fam)
+    n_y = len(fam.challenges)
+    weights = np.empty((trials + 1, n_y))
+    weights[0] = _weight_vector(fam, None)
     for trial in range(trials):
         rng = derived_rng(seed, "subsample", r, trial)
-        draws = rng.integers(0, len(fam.challenges), size=r)
-        counts = np.bincount(draws, minlength=len(fam.challenges))
-        empirical = {y: counts[i] / r for i, y in enumerate(fam.challenges)}
-        rhs_values.append(exact_classical_response_value(fam, empirical).value)
+        draws = rng.integers(0, n_y, size=r)
+        weights[trial + 1] = np.bincount(draws, minlength=n_y) / r
+    values, _, _ = _exact_values(fam, weights)
+    lhs, *rhs_values = (_unit_value(v) for v in values.tolist())
     deviations = tuple(abs(lhs - rhs) for rhs in rhs_values)
     failures = sum(1 for d in deviations if d > eps)
     return SubsampleReport(

@@ -41,7 +41,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -288,19 +289,20 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
 def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenvalues and matching orthonormal eigenvectors.
 
-    Accepts a DensityMatrix, MeasurementOperator, or plain square array.
-    Column k of the returned matrix is the eigenvector for eigenvalue k.
+    Accepts a DensityMatrix, MeasurementOperator, plain square array, or a
+    stack of square arrays of shape (..., d, d), each decomposed on its own.
+    Column k of each returned matrix is the eigenvector for eigenvalue k.
     """
     mat = np.asarray(op.entries if hasattr(op, "entries") else op, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
     defect = hermiticity_defect(mat)
     if defect > 1e-8:
         raise ValidationError(f"hermiticity defect {defect:.3e} > 1e-08")
     vals, vecs = np.linalg.eigh(mat)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    recon = max_abs((vecs * vals) @ dagger(vecs) - mat)
+    vals = vals[..., ::-1].copy()
+    vecs = vecs[..., ::-1].copy()
+    recon = max_abs((vecs * vals[..., None, :]) @ dagger(vecs) - mat)
     if recon > EIG_RECONSTRUCT_TOL:
         raise NumericsError(f"eigendecomposition reconstruction defect {recon:.3e}")
     return vals, vecs

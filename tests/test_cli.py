@@ -190,6 +190,14 @@ def test_usage_errors_exit_with_status_two(tmp_path, run_cli):
     assert oversized.returncode == 2, oversized.stderr.decode()
     assert b"budget" in oversized.stderr
     assert elapsed < 1.0, f"refusing the oversized net took {elapsed:.2f} s"
+    # so are 10**10 subsampling draws (80 GB) and a million see-saw restarts
+    for args in (["subsample", "--r", "10000000000"], ["chsh-gap", "--restarts", "1000000"]):
+        start = time.perf_counter()
+        oversized = run_cli([*args, "--csv", "x.csv"], cwd=tmp_path)
+        elapsed = time.perf_counter() - start
+        assert oversized.returncode == 2, oversized.stderr.decode()
+        assert b"budget" in oversized.stderr
+        assert elapsed < 1.0, f"refusing {args} took {elapsed:.2f} s"
     cfg = tmp_path / "bad.json"
     cfg.write_text('{"bogus": 3}')
     unknown = run_cli(["amplify", "--config", str(cfg), "--csv", "x.csv"], cwd=tmp_path)
@@ -198,6 +206,24 @@ def test_usage_errors_exit_with_status_two(tmp_path, run_cli):
     cfg.write_text('{"command": "amplify"}')
     mismatch = run_cli(["chsh-gap", "--config", str(cfg), "--csv", "x.csv"], cwd=tmp_path)
     assert mismatch.returncode == 2, mismatch.stderr.decode()
+
+
+REFERENCE_CSV_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "cli"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["chsh-gap", "--restarts", "16", "--seed", "7"],
+        ["subsample", "--family", "chsh", "--r", "256", "--eps", "0.1", "--trials", "100", "--seed", "1"],
+    ],
+    ids=["chsh-gap", "subsample"],
+)
+def test_readme_solver_reports_match_the_recorded_bytes(tmp_path, run_cli, args):
+    proc = run_cli(args, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    name = f"{args[0]}.csv"
+    assert (tmp_path / name).read_bytes() == (REFERENCE_CSV_DIR / name).read_bytes()
 
 
 def test_cli_children_import_the_package_under_test(tmp_path, cli_env):

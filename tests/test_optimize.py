@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import SphericalVoronoi
 
 from qiplab import (
@@ -169,12 +171,49 @@ def test_seesaw_dimension_budget_is_checked_before_the_restarts(monkeypatch):
     limit = SEESAW_DIMENSION_BUDGET // 2
     assert 0 <= seesaw_entangled_value(fam, config=cfg, keep_dim=limit).value <= 1
 
-    def no_restart(*args):
-        raise AssertionError("a see-saw restart ran")
+    def no_draw(*args):
+        raise AssertionError("a see-saw restart drew its start state")
 
-    monkeypatch.setattr(optimize, "_seesaw_restart", no_restart)
+    # every restart starts by drawing from its own stream
+    monkeypatch.setattr(optimize, "derived_rng", no_draw)
     with pytest.raises(BudgetError, match="see-saw budget"):
         seesaw_entangled_value(fam, config=cfg, keep_dim=limit + 1)
+    with pytest.raises(AssertionError, match="drew its start state"):
+        seesaw_entangled_value(fam, config=cfg, keep_dim=limit)
+
+
+def test_restart_and_subsampling_budgets_are_checked_before_the_first_draw(monkeypatch):
+    _, fam = chsh_protocol()
+
+    def no_draw(*args):
+        raise AssertionError("a random stream was drawn")
+
+    monkeypatch.setattr(optimize, "derived_rng", no_draw)
+    cfg = OptimizerConfig(restarts=optimize.SEESAW_RESTART_BUDGET + 1)
+    with pytest.raises(BudgetError, match="restart budget"):
+        seesaw_entangled_value(fam, config=cfg)
+    with pytest.raises(BudgetError, match="trial budget"):
+        subsampling_experiment(fam, 1, 0.1, optimize.SUBSAMPLE_TRIAL_BUDGET + 1, 0)
+    with pytest.raises(BudgetError, match="draw budget"):
+        subsampling_experiment(fam, 10**10, 0.1, 100, 0)
+    with pytest.raises(BudgetError, match="draw budget"):
+        subsampling_experiment(fam, optimize.SUBSAMPLE_DRAW_BUDGET // 2 + 1, 0.1, 2, 0)
+    # the README runs sit far below every budget
+    assert 16 * 100 <= optimize.SEESAW_RESTART_BUDGET
+    assert 100 * 100 <= optimize.SUBSAMPLE_TRIAL_BUDGET
+    assert 256 * 100 * 100 <= optimize.SUBSAMPLE_DRAW_BUDGET
+
+
+def test_every_restart_stops_at_max_iters_after_one_iteration():
+    _, fam = chsh_protocol()
+    report = seesaw_entangled_value(fam, config=OptimizerConfig(restarts=5, max_iters=1))
+    assert all(len(run) == 1 for run in report.iterates)
+    # without the cap each restart runs until its last gain is below the tolerance
+    cfg = OptimizerConfig(restarts=5, seed=3)
+    converged = seesaw_entangled_value(fam, config=cfg)
+    for run in converged.iterates:
+        assert 1 < len(run) < cfg.max_iters
+        assert run[-1] - run[-2] < cfg.convergence_tol
 
 
 def test_fibonacci_net_covers_the_sphere_tightly():
@@ -264,6 +303,33 @@ def test_net_resolution_budget_is_checked_before_the_net_is_built(monkeypatch):
         brute_force_unentangled_value(
             spec, OptimizerConfig(net_resolution=NET_RESOLUTION_BUDGET + 1)
         )
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), restarts=st.integers(1, 8))
+def test_seesaw_traces_climb_and_reach_the_exact_value(seed, restarts):
+    _, fam = random_public_coin_spec(derived_rng(seed, "seesaw-property"))
+    cfg = OptimizerConfig(restarts=restarts, seed=seed)
+    report = seesaw_entangled_value(fam, config=cfg)
+    # non-decreasing up to rounding in the eigensolver
+    for run in report.iterates:
+        assert all(b >= a - optimize.ITERATE_MONOTONE_TOL for a, b in zip(run, run[1:]))
+    exact = exact_classical_response_value(fam).value
+    assert report.value >= exact - 100 * cfg.convergence_tol
+
+
+NET_PROPERTY_RESOLUTION = 300
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_net_value_is_within_its_error_below_the_exact_value(seed):
+    spec, fam = random_public_coin_spec(derived_rng(seed, "net-property"))
+    exact = exact_classical_response_value(fam).value
+    report = brute_force_unentangled_value(
+        spec, OptimizerConfig(net_resolution=NET_PROPERTY_RESOLUTION)
+    )
+    assert report.value <= exact <= report.value + report.net_error
 
 
 def test_brute_force_lands_in_the_chsh_window():
