@@ -44,7 +44,6 @@ from .protocol import (
     MeasurementFamily,
     ProtocolSpec,
     RawUnentangledStrategy,
-    Transcript,
     acceptance_probability,
     canonicalize_prover,
     chsh_protocol,

@@ -27,6 +27,7 @@ from .qmath import (
     Povm,
     PureState,
     RegisterLayout,
+    adjoint_kraus_array,
     dagger,
     hermitian_eig,
     max_abs,
@@ -172,10 +173,8 @@ def adjoint_apply(channel: KrausChannel, effect: MeasurementOperator) -> Measure
         raise LayoutError(
             f"effect dims {effect.layout.dims} do not match channel output {channel.out_layout.dims}"
         )
-    out = np.zeros((channel.in_layout.total_dim,) * 2, dtype=np.complex128)
-    for k in channel.kraus_ops:
-        out += dagger(k) @ effect.entries @ k
-    return MeasurementOperator(channel.in_layout, out)
+    image = adjoint_kraus_array(effect.entries, channel.kraus_ops)
+    return MeasurementOperator(channel.in_layout, image)
 
 
 _CHOI_LAYOUT_NAMES = ("in", "out")

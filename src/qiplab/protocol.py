@@ -14,12 +14,15 @@ register, samples a uniform coin, records the coin, and transmits the coin
 (a uniform-challenge verifier keeps the message intact this way, which is
 what the final measurement acts on).
 
-The simulator keeps one dense density matrix over (P, M, V).  Every
-measurement it makes -- the prover's measure-and-prepare emissions, the
-public coin, challenge conditioning and the accept flag -- is a contraction
-against stacked effects (qmath.measure_array) followed, where something is
-emitted, by qmath.prepare_array; Kraus operators remain only for channels
-given in Kraus form (mix, v1, v2 and the entangled prover's channels).
+The simulator keeps one dense density matrix over (P, M, V) up to the
+prover's response.  Every measurement it makes -- the prover's
+measure-and-prepare emissions, the public coin and challenge conditioning --
+is a contraction against stacked effects (qmath.measure_array) followed,
+where something is emitted, by qmath.prepare_array; Kraus operators remain
+only for channels given in Kraus form (mix, v1 and the entangled prover's
+channels).  The verifier's closing channel v2 is never applied to a state:
+it and the accept flag enter as one effect v2^dag(accept) on (M, V), the
+Heisenberg picture, contracted against what the prover leaves behind.
 
 Prover strategies come in four forms, from the most general unentangled one
 (arbitrary workspace channels with measure-and-prepare message emission) to
@@ -36,7 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .channels import EbChannel, KrausChannel, adjoint_apply
+from .channels import EbChannel, KrausChannel
 from .errors import (
     BudgetError,
     ConditioningError,
@@ -46,18 +49,18 @@ from .errors import (
     ValidationError,
 )
 from .qmath import (
-    DensityMatrix,
     MeasurementOperator,
     Povm,
     PureState,
     RegisterLayout,
+    adjoint_kraus_array,
     apply_kraus_array,
     dagger,
     dephase_axes,
+    embed_operator,
     kron_all,
     measure_array,
     prepare_array,
-    reorder_array,
 )
 
 BRANCH_PROBABILITY_TOL = 1e-12
@@ -208,15 +211,6 @@ class ProtocolSpec:
 
 
 @dataclass(frozen=True)
-class Transcript:
-    """Record of one simulated interaction."""
-
-    messages: tuple[str | None, ...]
-    final_state: DensityMatrix
-    accept_probability: float
-
-
-@dataclass(frozen=True)
 class MeasurementFamily:
     """Challenge/response indexed effects on the message register."""
 
@@ -289,6 +283,22 @@ def _basis_effects(dim: int) -> np.ndarray:
     """Stack of the computational-basis projectors |y><y| of one register set."""
     eye = np.eye(dim)
     return eye[:, :, None] * eye[:, None, :]
+
+
+def _closing_effect(spec: ProtocolSpec) -> np.ndarray:
+    """v2^dag(accept) on (M, V): the verifier's last channel and flag as one effect.
+
+    A plain array: v2 is trace preserving only to KrausChannel's tolerance,
+    so the image need not pass MeasurementOperator's checks; the callers
+    check the probabilities it gives instead.
+    """
+    return adjoint_kraus_array(spec.accept.entries, spec.v2.kraus_ops)
+
+
+def _checked_probability(p: float, what: str) -> float:
+    if p < -1e-9 or p > 1 + 1e-9:
+        raise NumericsError(f"{what} {p!r} escaped [0, 1]")
+    return min(max(p, 0.0), 1.0)
 
 
 def _check_channel_dims(ch: KrausChannel, layout: RegisterLayout, what: str):
@@ -414,8 +424,8 @@ def _workspace_of(spec, prover) -> RegisterLayout | None:
     return None
 
 
-def run_interaction(spec: ProtocolSpec, prover: ProverStrategy) -> Transcript:
-    """Simulate the full interaction and return the closing state and flag."""
+def run_interaction(spec: ProtocolSpec, prover: ProverStrategy) -> float:
+    """Simulate the interaction and return the acceptance probability."""
     workspace = _workspace_of(spec, prover)
     full, p_axes, m_axes, v_axes = _geometry(spec, workspace)
     _check_prover(spec, prover)
@@ -429,17 +439,12 @@ def run_interaction(spec: ProtocolSpec, prover: ProverStrategy) -> Transcript:
     rho = _prover_move(spec, prover, rho, dims, p_axes, m_axes, opening=False)
     if spec.response_round in spec.classical_rounds:
         rho = dephase_axes(rho, dims, m_axes)
-    mv_axes = tuple(m_axes) + tuple(v_axes)
-    rho = apply_kraus_array(rho, dims, spec.v2.kraus_ops, mv_axes)
-    p = float(np.trace(measure_array(rho, dims, [spec.accept.entries], mv_axes)[0]).real)
-    if p < -1e-9 or p > 1 + 1e-9:
-        raise NumericsError(f"acceptance probability {p!r} escaped [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    return Transcript((None,) * spec.rounds, DensityMatrix(full, rho), p)
+    block = measure_array(rho, dims, [_closing_effect(spec)], tuple(m_axes) + tuple(v_axes))[0]
+    return _checked_probability(float(np.trace(block).real), "acceptance probability")
 
 
 def acceptance_probability(spec: ProtocolSpec, prover: ProverStrategy) -> float:
-    return run_interaction(spec, prover).accept_probability
+    return run_interaction(spec, prover)
 
 
 def verifier_message_distribution(spec: ProtocolSpec) -> dict[str, float]:
@@ -460,8 +465,8 @@ def postselected_acceptance(spec: ProtocolSpec, y: str, z: str) -> float:
     """Acceptance conditioned on challenge y being sent and response z given.
 
     Requires the two-round shape with both messages classical.  The joint
-    state is projected onto challenge y, renormalized on V, the response is
-    written into M, and the closing measurement applied.
+    state is projected onto challenge y and renormalized on V; the closing
+    effect compressed on response z, E_z = <z|v2^dag(accept)|z>, scores it.
     """
     if spec.rounds != 2 or not {1, 2} <= spec.classical_rounds:
         raise ValidationError(
@@ -476,13 +481,10 @@ def postselected_acceptance(spec: ProtocolSpec, y: str, z: str) -> float:
     p_y = float(np.trace(block).real)
     if p_y <= CONDITIONING_TOL:
         raise ConditioningError(f"challenge {y!r} has probability {p_y!r}; cannot condition")
-    z_vec = np.eye(d_m)[spec.m_layout.basis_index(z)]
-    rho2 = prepare_array([block / p_y], dims, [z_vec], m_axes)
-    rho2 = apply_kraus_array(rho2, dims, spec.v2.kraus_ops, tuple(m_axes) + tuple(v_axes))
-    p = float(np.trace(spec.accept.entries @ rho2).real)
-    if p < -1e-9 or p > 1 + 1e-9:
-        raise NumericsError(f"conditional acceptance {p!r} escaped [0, 1]")
-    return min(max(p, 0.0), 1.0)
+    z_idx = spec.m_layout.basis_index(z)
+    e_z = measure_array(_closing_effect(spec), dims, _basis_effects(d_m)[z_idx, None], m_axes)[0]
+    p = float(np.trace(e_z @ block).real) / p_y
+    return _checked_probability(p, "conditional acceptance")
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +494,13 @@ def postselected_acceptance(spec: ProtocolSpec, y: str, z: str) -> float:
 def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStrategy:
     """Fold a raw unentangled prover into canonical form, never losing value.
 
-    Enumerates the branches of the first emission POVM; for each branch the
-    residual workspace state is absorbed into the response channel through
-    the Heisenberg-picture image of its POVM, and the branch with the best
-    conditional acceptance wins (ties break toward the lowest index).
+    Enumerates the branches of the first emission POVM.  Each second
+    emission effect F_l is pulled back once through mix2, to
+    A_l = mix2^dag(I_R (x) F_l) on (P, M); a branch with residual workspace
+    state sigma_R compresses them to the response POVM
+    G_l = tr_{R,S}[(sigma_R (x) |0><0|_S (x) I_M) A_l], which keeps the
+    emitted states.  The branch with the best conditional acceptance wins
+    (ties break toward the lowest index).
     """
     if not isinstance(raw, RawUnentangledStrategy):
         raise ContractError("canonicalize_prover expects the raw unentangled form")
@@ -510,16 +515,16 @@ def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStr
     m_axes = tuple(range(n_p, len(dims)))
     s_axes = tuple(workspace.axis(n) for n in workspace.names if n in raw.eb_labels)
     r_axes = tuple(workspace.axis(n) for n in workspace.names if n not in raw.eb_labels)
-    d_r = math.prod(dims[a] for a in r_axes)
-    d_s = math.prod(dims[a] for a in s_axes)
-    d_m = spec.m_layout.total_dim
+    zero_s = _zero_state(math.prod(dims[a] for a in s_axes))
 
     rho1 = apply_kraus_array(_zero_state(pm.total_dim), dims, raw.mix1.kraus_ops, tuple(range(len(dims))))
     # the residual workspace state of each branch, unnormalized, on R
     effects = [e.entries for e in raw.emit1.povm.elements]
     blocks = measure_array(rho1, dims, effects, s_axes + m_axes)
-    # the folded response works in the (R, S, M) ordered basis
-    mix2_ops = [reorder_array(k, dims, r_axes + s_axes + m_axes) for k in raw.mix2.kraus_ops]
+    pulled = [
+        adjoint_kraus_array(embed_operator(f.entries, dims, s_axes + m_axes), raw.mix2.kraus_ops)
+        for f in raw.emit2.povm.elements
+    ]
 
     best: tuple[float, CanonicalStrategy] | None = None
     for block, prep in zip(blocks, raw.emit1.preps):
@@ -528,45 +533,16 @@ def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStr
             continue
         sigma_r = block / q
         sigma_r = (sigma_r + dagger(sigma_r)) / 2
-        candidate = CanonicalStrategy(
-            prep, _folded_response(raw, spec, sigma_r, mix2_ops, d_r, d_s, d_m)
-        )
+        lens = np.kron(sigma_r, zero_s)
+        folded = [measure_array(a, dims, [lens], r_axes + s_axes)[0] for a in pulled]
+        povm = Povm(tuple(MeasurementOperator(spec.m_layout, g) for g in folded))
+        candidate = CanonicalStrategy(prep, EbChannel(povm, raw.emit2.preps))
         value = acceptance_probability(spec, candidate)
         if best is None or value > best[0]:
             best = (value, candidate)
     if best is None:
         raise NumericsError("no emission branch has positive probability")
     return best[1]
-
-
-def _folded_response(raw, spec, sigma_r, mix2_ops, d_r, d_s, d_m) -> EbChannel:
-    """Response channel of the canonical prover for one first-round branch.
-
-    Builds rho_M -> trace_R[mix2(sigma_R (x) |0><0|_S (x) rho_M)] as a Kraus
-    channel from M to (S, M), then pulls the second emission POVM back
-    through its adjoint; the emitted states are unchanged.
-    """
-    vals, vecs = np.linalg.eigh(sigma_r)
-    vals = np.clip(vals, 0.0, None)
-    vals = vals / vals.sum()
-    zero_s = np.zeros(d_s, dtype=np.complex128)
-    zero_s[0] = 1.0
-    insert_ops = []
-    for w, vec in zip(vals, vecs.T):
-        if w < 1e-14:
-            continue
-        chi = np.kron(vec, zero_s).reshape(-1, 1)
-        insert_ops.append(np.sqrt(w) * np.kron(chi, np.eye(d_m)))
-    trace_ops = []
-    for i in range(d_r):
-        sel = np.zeros((1, d_r), dtype=np.complex128)
-        sel[0, i] = 1.0
-        trace_ops.append(np.kron(sel, np.eye(d_s * d_m)))
-    lam_ops = [t @ k @ j for j in insert_ops for k in mix2_ops for t in trace_ops]
-    s_layout = raw.workspace.subset([n for n in raw.workspace.names if n in raw.eb_labels])
-    lam = KrausChannel(spec.m_layout, s_layout.concat(spec.m_layout), tuple(lam_ops))
-    pulled = tuple(adjoint_apply(lam, f) for f in raw.emit2.povm.elements)
-    return EbChannel(Povm(pulled), raw.emit2.preps)
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +554,10 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
 
     For a three-round protocol with classical challenge and response, the
     acceptance of a prover that opens with rho on M and answers challenge y
-    with g(y) is sum_y tr(N_{y,g(y)} rho); the family is built by driving
-    matrix units through the (linear) verifier pipeline.
+    with g(y) is sum_y tr(N_{y,g(y)} rho).  Matrix units are driven forward
+    through the (linear) challenge move; the closing effect, compressed on
+    each response z to E_z = <z|v2^dag(accept)|z> on V, then scores every
+    challenge-conditioned block at once.
     """
     if spec.rounds != 3:
         raise ValidationError("family extraction needs a three-round protocol")
@@ -590,34 +568,27 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
     full, _, m_axes, v_axes = _geometry(spec, None)
     dims = full.dims
     d_m = spec.m_layout.total_dim
-    d_v = spec.v_layout.total_dim
     labels = spec.m_layout.basis_labels()
-    mv_axes = tuple(m_axes) + tuple(v_axes)
-    v_zero = _zero_state(d_v)
+    v_zero = _zero_state(spec.v_layout.total_dim)
     basis = _basis_effects(d_m)
     kets = np.eye(d_m)
-    tables = {
-        (y, z): np.zeros((d_m, d_m), dtype=np.complex128)
-        for y in labels
-        for z in labels
-    }
+    closing_blocks = measure_array(_closing_effect(spec), dims, basis, m_axes)
+    # tables[y, z] is N_{y,z} before symmetrization
+    tables = np.zeros((d_m, d_m, d_m, d_m), dtype=np.complex128)
     for j in range(d_m):
         for k in range(d_m):
             rho = np.kron(np.outer(kets[j], kets[k]), v_zero)
             if 1 in spec.classical_rounds:
                 rho = dephase_axes(rho, dims, m_axes)
             rho = _challenge_move(spec, rho, dims, m_axes, v_axes, full)
-            # sigma_V of each challenge y, then |z><z| (x) sigma_V through v2 and the flag
+            # sigma_V of each challenge y, scored by tr(E_z sigma_V) for every z
             blocks = measure_array(rho, dims, basis, m_axes)
-            for y_idx, y in enumerate(labels):
-                for z_idx, z in enumerate(labels):
-                    rho2 = prepare_array(blocks[y_idx, None], dims, kets[z_idx, None], m_axes)
-                    rho2 = apply_kraus_array(rho2, dims, spec.v2.kraus_ops, mv_axes)
-                    tables[(y, z)][k, j] = np.trace(spec.accept.entries @ rho2)
-    ops = {}
-    for key, table in tables.items():
-        sym = (table + dagger(table)) / 2
-        ops[key] = MeasurementOperator(spec.m_layout, sym)
+            tables[:, :, k, j] = np.einsum("zab,yba->yz", closing_blocks, blocks)
+    ops = {
+        (y, z): MeasurementOperator(spec.m_layout, (table + dagger(table)) / 2)
+        for y, row in zip(labels, tables)
+        for z, table in zip(labels, row)
+    }
     return MeasurementFamily(labels, labels, ops)
 
 

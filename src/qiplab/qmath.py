@@ -7,9 +7,9 @@ and hold read-only arrays, so instances may be shared freely across threads.
 
 The array helpers work on plain D x D arrays and address registers by
 axis: reorder_array moves registers, apply_kraus_array applies Kraus
-operators on target registers only, and measure_array / prepare_array
-contract stacked effects and prepared states, the two halves of a
-measure-and-prepare step.
+operators on target registers only, adjoint_kraus_array pulls an effect
+back through them, and measure_array / prepare_array contract stacked
+effects and prepared states, the two halves of a measure-and-prepare step.
 
 Intended for exact toy-scale work: the protocol simulator refuses total
 dimensions above qiplab.protocol.SIMULATOR_DIMENSION_BUDGET (1024).
@@ -423,6 +423,18 @@ def apply_kraus_array(
         half = (k @ moved).reshape(d, d)
         acc += k.conj() @ half.T.reshape(d_t, -1)
     return _restore(acc.reshape(d, d).T, dims, order)
+
+
+def adjoint_kraus_array(effect: np.ndarray, kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum_k K_k^dag E K_k: the Heisenberg-picture image of E on the input space.
+
+    The operators may be rectangular (output x input), and E lives on their
+    output space.  tr(E . sum_k K_k rho K_k^dag) = tr(image . rho).
+    """
+    out = np.zeros((kraus[0].shape[1],) * 2, dtype=np.complex128)
+    for k in kraus:
+        out += dagger(k) @ effect @ k
+    return out
 
 
 def dephase_axes(rho: np.ndarray, dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from qiplab.channels import (
     ChoiMatrix,
@@ -136,17 +138,27 @@ def test_channels_equal():
         channels_equal(ident, random_kraus_channel(np.random.default_rng(1), RegisterLayout(("A", "B"), (2, 2)), QUBIT))
 
 
-def test_adjoint_duality_and_unitality():
-    for i in range(100):
-        rng = np.random.default_rng(500 + i)
-        ch = random_kraus_channel(rng, QUBIT, n_kraus=2)
-        rho = random_density(rng, QUBIT)
-        effect = random_effect(rng, QUBIT)
-        lhs = born_probability(effect, apply_kraus(ch, rho))
-        rhs = born_probability(adjoint_apply(ch, effect), rho)
-        assert abs(lhs - rhs) < 1e-10
-    ident_image = adjoint_apply(ch, MeasurementOperator.identity(QUBIT))
-    assert np.max(np.abs(ident_image.entries - np.eye(2))) < 1e-10
+@given(
+    st.integers(1, 4),
+    st.integers(2, 4),
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+)
+@example(2, 2, 4, 9)
+def test_adjoint_duality_and_unitality(n_kraus, d_in, d_out, seed):
+    # rectangular channels included: the input and output spaces differ
+    assume(n_kraus * d_out >= d_in)
+    rng = np.random.default_rng(seed)
+    in_layout = RegisterLayout(("A",), (d_in,))
+    out_layout = RegisterLayout(("B",), (d_out,))
+    ch = random_kraus_channel(rng, in_layout, out_layout, n_kraus=n_kraus)
+    rho = random_density(rng, in_layout)
+    effect = random_effect(rng, out_layout)
+    lhs = born_probability(effect, apply_kraus(ch, rho))
+    rhs = born_probability(adjoint_apply(ch, effect), rho)
+    assert abs(lhs - rhs) < 1e-10
+    ident_image = adjoint_apply(ch, MeasurementOperator.identity(out_layout))
+    assert np.max(np.abs(ident_image.entries - np.eye(d_in))) < 1e-10
 
 
 def test_adjoint_of_rectangular_channel():

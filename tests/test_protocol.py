@@ -19,6 +19,7 @@ from qiplab import (
     hermitian_eig,
     protocol,
 )
+from qiplab.channels import EbChannel, adjoint_apply
 from qiplab.protocol import (
     CanonicalStrategy,
     ClassicalResponseStrategy,
@@ -34,12 +35,21 @@ from qiplab.protocol import (
     run_interaction,
     verifier_message_distribution,
 )
-from qiplab.qmath import apply_kraus_array
+from qiplab.qmath import (
+    Povm,
+    apply_kraus_array,
+    dephase_axes,
+    measure_array,
+    prepare_array,
+    reorder_array,
+)
 from qiplab.random_instances import (
     random_classical_response,
     random_density,
     random_eb_channel,
+    random_effect,
     random_kraus_channel,
+    random_pure,
     random_qcip2_spec,
     random_raw_prover,
     random_verifier_spec,
@@ -92,10 +102,7 @@ def test_chsh_best_classical_table_tops_out_at_three_quarters():
 
 def test_chsh_bell_prover_reaches_the_entangled_optimum():
     spec, _ = chsh_protocol()
-    transcript = run_interaction(spec, bell_chsh_prover())
-    assert transcript.accept_probability == pytest.approx(ENTANGLED_CHSH, abs=1e-10)
-    assert transcript.final_state.layout.names == ("P", "M", "R", "C")
-    assert np.trace(transcript.final_state.entries) == pytest.approx(1.0, abs=1e-10)
+    assert run_interaction(spec, bell_chsh_prover()) == pytest.approx(ENTANGLED_CHSH, abs=1e-10)
 
 
 def test_chsh_joint_family_is_half_the_challenge_conditioned_one():
@@ -123,24 +130,95 @@ def test_family_extraction_reproduces_simulated_acceptance():
         assert acceptance_probability(spec, prover) == pytest.approx(predicted, abs=1e-10)
 
 
-@given(
+def drawn_raw_prover(w_dim, s_dim, v_dim, classical, seed):
+    rng = np.random.default_rng(seed)
+    spec = random_verifier_spec(rng, v_dim=v_dim, classical=classical)
+    return spec, random_raw_prover(rng, spec, workspace=RegisterLayout(("W", "S"), (w_dim, s_dim)))
+
+
+# workspace dims W and S, verifier dim V, classical rounds, seed
+raw_prover_draws = given(
     st.integers(2, 4),
     st.integers(2, 3),
     st.integers(2, 3),
     st.sampled_from([(), (2,), (2, 3), (1, 2, 3)]),
     st.integers(0, 2**32 - 1),
 )
+
+
+@raw_prover_draws
 @example(2, 2, 2, (), 0)
 def test_canonical_form_never_loses_acceptance_probability(w_dim, s_dim, v_dim, classical, seed):
-    rng = np.random.default_rng(seed)
-    spec = random_verifier_spec(rng, v_dim=v_dim, classical=classical)
-    raw = random_raw_prover(rng, spec, workspace=RegisterLayout(("W", "S"), (w_dim, s_dim)))
+    spec, raw = drawn_raw_prover(w_dim, s_dim, v_dim, classical, seed)
     raw_value = acceptance_probability(spec, raw)
     canonical = canonicalize_prover(spec, raw)
     assert isinstance(canonical, CanonicalStrategy)
     value = acceptance_probability(spec, canonical)
     assert value >= raw_value - 1e-9
     assert value <= 1 + 1e-9
+
+
+def kraus_form_fold(spec, raw):
+    """Test-only reference for canonicalize_prover, in the Kraus form.
+
+    Per branch, builds rho_M -> tr_R[mix2(sigma_R (x) |0><0|_S (x) rho_M)] as
+    a Kraus channel from M to (S, M) and pulls the second emission POVM back
+    through its adjoint.  Returns the best branch's strategy and its sigma_R.
+    """
+    workspace = raw.workspace
+    dims = workspace.concat(spec.m_layout).dims
+    n_p = len(workspace.names)
+    m_axes = tuple(range(n_p, len(dims)))
+    s_axes = tuple(workspace.axis(n) for n in workspace.names if n in raw.eb_labels)
+    r_axes = tuple(workspace.axis(n) for n in workspace.names if n not in raw.eb_labels)
+    d_r = math.prod(dims[a] for a in r_axes)
+    d_s = math.prod(dims[a] for a in s_axes)
+    d_m = spec.m_layout.total_dim
+    rho1 = apply_kraus_array(
+        protocol._zero_state(math.prod(dims)), dims, raw.mix1.kraus_ops, tuple(range(len(dims)))
+    )
+    effects = [e.entries for e in raw.emit1.povm.elements]
+    blocks = measure_array(rho1, dims, effects, s_axes + m_axes)
+    mix2_ops = [reorder_array(k, dims, r_axes + s_axes + m_axes) for k in raw.mix2.kraus_ops]
+    s_layout = workspace.subset(raw.eb_labels)
+    zero_s = np.eye(d_s)[0]
+    trace_ops = [np.kron(np.eye(d_r)[[i]], np.eye(d_s * d_m)) for i in range(d_r)]
+    best = None
+    for block, prep in zip(blocks, raw.emit1.preps):
+        q = float(np.trace(block).real)
+        if q <= protocol.BRANCH_PROBABILITY_TOL:
+            continue
+        sigma_r = block / q
+        sigma_r = (sigma_r + sigma_r.conj().T) / 2
+        vals, vecs = np.linalg.eigh(sigma_r)
+        vals = np.clip(vals, 0.0, None)
+        vals = vals / vals.sum()
+        insert_ops = [
+            np.sqrt(w) * np.kron(np.kron(vec, zero_s).reshape(-1, 1), np.eye(d_m))
+            for w, vec in zip(vals, vecs.T)
+            if w >= 1e-14
+        ]
+        lam_ops = [t @ k @ j for j in insert_ops for k in mix2_ops for t in trace_ops]
+        lam = KrausChannel(spec.m_layout, s_layout.concat(spec.m_layout), tuple(lam_ops))
+        povm = Povm(tuple(adjoint_apply(lam, f) for f in raw.emit2.povm.elements))
+        candidate = CanonicalStrategy(prep, EbChannel(povm, raw.emit2.preps))
+        value = acceptance_probability(spec, candidate)
+        if best is None or value > best[0]:
+            best = (value, candidate, sigma_r)
+    return best[1], best[2]
+
+
+@raw_prover_draws
+@example(2, 2, 2, (), 0)
+def test_fold_matches_the_kraus_form_fold(w_dim, s_dim, v_dim, classical, seed):
+    spec, raw = drawn_raw_prover(w_dim, s_dim, v_dim, classical, seed)
+    want, sigma_r = kraus_form_fold(spec, raw)
+    # sigma_R is complex, so a fold that used its transpose would differ
+    assert np.max(np.abs(sigma_r - sigma_r.T)) > 1e-6
+    got = canonicalize_prover(spec, raw)
+    assert got.first_message is want.first_message
+    for g, w in zip(got.respond.povm.elements, want.respond.povm.elements, strict=True):
+        assert np.max(np.abs(g.entries - w.entries)) < 1e-13
 
 
 def test_single_branch_canonicalization_is_exact():
@@ -176,7 +254,7 @@ def test_simulator_dimension_budget_is_checked_before_allocating(monkeypatch):
     raw = random_raw_prover(derived_rng(34, "budget"), spec)  # (W, S) = (2, 2)
     # at the budget the full (W, S, M, V) layout of dimension 32 still runs
     monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 32)
-    assert 0 <= run_interaction(spec, raw).accept_probability <= 1
+    assert 0 <= run_interaction(spec, raw) <= 1
     monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 31)
     with pytest.raises(BudgetError, match="simulator budget"):
         run_interaction(spec, raw)
@@ -277,6 +355,147 @@ def test_measure_and_prepare_matches_the_kraus_form(case):
     got = protocol._measure_prepare(rho, dims, channel, out, reset)
     assert got.shape == (d, d)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def forward_closing(spec, rho, dims, mv_axes):
+    """Test-only reference for the closing step: v2 applied to the state,
+    then the accept flag contracted on (M, V)."""
+    rho = apply_kraus_array(rho, dims, spec.v2.kraus_ops, mv_axes)
+    return np.trace(measure_array(rho, dims, [spec.accept.entries], mv_axes)[0])
+
+
+def forward_acceptance(spec, prover):
+    workspace = protocol._workspace_of(spec, prover)
+    full, p_axes, m_axes, v_axes = protocol._geometry(spec, workspace)
+    dims = full.dims
+    rho = protocol._zero_state(full.total_dim)
+    if spec.rounds == 3:
+        rho = protocol._prover_move(spec, prover, rho, dims, p_axes, m_axes, opening=True)
+        if 1 in spec.classical_rounds:
+            rho = dephase_axes(rho, dims, m_axes)
+    rho = protocol._challenge_move(spec, rho, dims, m_axes, v_axes, full)
+    rho = protocol._prover_move(spec, prover, rho, dims, p_axes, m_axes, opening=False)
+    if spec.response_round in spec.classical_rounds:
+        rho = dephase_axes(rho, dims, m_axes)
+    return forward_closing(spec, rho, dims, m_axes + v_axes).real
+
+
+def forward_challenge_blocks(spec, rho):
+    """sigma_V of each challenge after the challenge move, and the geometry."""
+    full, _, m_axes, v_axes = protocol._geometry(spec, None)
+    dims = full.dims
+    rho = protocol._challenge_move(spec, rho, dims, m_axes, v_axes, full)
+    basis = np.eye(spec.m_layout.total_dim)
+    effects = basis[:, :, None] * basis[:, None, :]
+    return measure_array(rho, dims, effects, m_axes), dims, m_axes, m_axes + v_axes
+
+
+def forward_postselected(spec, y, z):
+    start = protocol._zero_state(spec.joint_layout().total_dim)
+    blocks, dims, m_axes, mv_axes = forward_challenge_blocks(spec, start)
+    block = blocks[spec.m_layout.basis_index(y)]
+    z_vec = np.eye(spec.m_layout.total_dim)[spec.m_layout.basis_index(z)]
+    rho2 = prepare_array([block / np.trace(block).real], dims, [z_vec], m_axes)
+    return forward_closing(spec, rho2, dims, mv_axes).real
+
+
+def forward_family(spec):
+    """N_{y,z} before symmetrization, from matrix units pushed through v2."""
+    d_m = spec.m_layout.total_dim
+    kets = np.eye(d_m)
+    tables = np.zeros((d_m, d_m, d_m, d_m), dtype=np.complex128)
+    for j in range(d_m):
+        for k in range(d_m):
+            rho = np.kron(np.outer(kets[j], kets[k]), protocol._zero_state(spec.v_layout.total_dim))
+            if 1 in spec.classical_rounds:
+                rho = dephase_axes(rho, (d_m, spec.v_layout.total_dim), (0,))
+            blocks, dims, m_axes, mv_axes = forward_challenge_blocks(spec, rho)
+            for y in range(d_m):
+                for z in range(d_m):
+                    rho2 = prepare_array(blocks[y, None], dims, kets[z, None], m_axes)
+                    tables[y, z, k, j] = forward_closing(spec, rho2, dims, mv_axes)
+    return tables
+
+
+@st.composite
+def closing_cases(draw):
+    """Rounds, coin, classical rounds, M and V dimensions, and a seed.
+
+    Every classical subset is drawn; the challenge round is added where the
+    protocol needs it (a public coin, or a two-round protocol, whose only
+    prover form answers a classical challenge).
+    """
+    rounds = draw(st.sampled_from([2, 3]))
+    public = draw(st.booleans())
+    classical = draw(st.sets(st.integers(1, rounds)))
+    if public or rounds == 2:
+        classical.add(2 if rounds == 3 else 1)
+    m_dim = draw(st.integers(2, 3))
+    v_dim = draw(st.integers(2, 3))
+    return rounds, public, frozenset(classical), m_dim, v_dim, draw(st.integers(0, 2**32 - 1))
+
+
+def drawn_spec(rng, rounds, public, classical, m_dim, v_dim):
+    """A random verifier with a random v2; a public coin adds the coin
+    register C (and the stash R in three rounds) in front of V."""
+    m_layout = RegisterLayout(("M",), (m_dim,))
+    coin_names = (("R", "C") if rounds == 3 else ("C",)) if public else ()
+    v_layout = RegisterLayout(coin_names + ("V",), (m_dim,) * len(coin_names) + (v_dim,))
+    joint = m_layout.concat(v_layout)
+    return ProtocolSpec(
+        m_layout=m_layout,
+        v_layout=v_layout,
+        rounds=rounds,
+        v2=random_kraus_channel(rng, joint),
+        accept=random_effect(rng, joint),
+        v1=None if public else random_kraus_channel(rng, joint),
+        classical_rounds=classical,
+        public_coin=public,
+        coin_label="C" if public else None,
+        saved_label="R" if public and rounds == 3 else None,
+    )
+
+
+def drawn_provers(rng, spec):
+    """Every prover form the spec takes."""
+    provers = []
+    if spec.challenge_round in spec.classical_rounds:
+        provers.append(random_classical_response(rng, spec))
+    if spec.rounds == 3:
+        p_layout = RegisterLayout(("P",), (2,))
+        pm = p_layout.concat(spec.m_layout)
+        provers += [
+            EntangledStrategy(p_layout, random_kraus_channel(rng, pm), random_kraus_channel(rng, pm)),
+            random_raw_prover(rng, spec),
+            CanonicalStrategy(random_pure(rng, spec.m_layout), random_eb_channel(rng, spec.m_layout)),
+        ]
+    return provers
+
+
+@given(closing_cases())
+@example((3, True, frozenset({2, 3}), 2, 2, 0))
+@example((2, False, frozenset({1, 2}), 3, 2, 1))
+def test_pulled_back_closing_effect_matches_the_forward_closing_step(case):
+    rounds, public, classical, m_dim, v_dim, seed = case
+    rng = np.random.default_rng(seed)
+    spec = drawn_spec(rng, rounds, public, classical, m_dim, v_dim)
+    for prover in drawn_provers(rng, spec):
+        want = forward_acceptance(spec, prover)
+        assert abs(acceptance_probability(spec, prover) - want) < 1e-13
+    labels = spec.m_layout.basis_labels()
+    if rounds == 2 and classical == {1, 2}:
+        for y in labels:
+            for z in labels:
+                want = forward_postselected(spec, y, z)
+                assert abs(postselected_acceptance(spec, y, z) - want) < 1e-13
+    if rounds == 3 and {2, 3} <= classical:
+        family = joint_response_operators(spec)
+        tables = forward_family(spec)
+        for y_idx, y in enumerate(labels):
+            for z_idx, z in enumerate(labels):
+                table = tables[y_idx, z_idx]
+                want = (table + table.conj().T) / 2
+                assert np.max(np.abs(family.op(y, z).entries - want)) < 1e-13
 
 
 def test_postselection_recomposes_the_total_acceptance():
