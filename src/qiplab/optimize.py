@@ -391,42 +391,246 @@ def seesaw_entangled_value(
     )
 
 
-def fibonacci_sphere_states(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n spread points on the Bloch sphere and the matching qubit states."""
+def _fibonacci_net(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch vectors of the n-point spherical Fibonacci net, with their z and azimuth."""
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
     phi = i * (np.pi * (3.0 - np.sqrt(5.0)))
     sin_theta = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     points = np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), z], axis=1)
+    return points, z, phi
+
+
+def fibonacci_sphere_states(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n spread points on the Bloch sphere and the matching qubit states."""
+    points, z, phi = _fibonacci_net(n)
     half = np.arccos(np.clip(z, -1.0, 1.0)) / 2
     states = np.stack([np.cos(half), np.exp(1j * phi) * np.sin(half)], axis=1)
     return points, states.astype(np.complex128)
+
+
+# Window of k - p in which the net's Delaunay triangles (i, i+F_{k-1}, i+F_{k+1})
+# and (i, i+F_k, i+F_{k+1}) lie, where p = log_phi(sqrt(5)·pi·N·(1 - z²)) / 2 is
+# the zone number at the z of index i + F_{k+1}/2 (Keinert et al., "Spherical
+# Fibonacci Mapping", ACM TOG 2015).  Against qhull, k - p stayed within
+# [-1.14, 0.50], and within [-1.89, -0.47] for k <= 3 near the poles, for every
+# N from 4 to 10**4 and every 97th N up to NET_RESOLUTION_BUDGET.
+_PHI = (1 + math.sqrt(5)) / 2
+_ZONE_BELOW = 1.25
+_CAP_ZONE_BELOW = 2.0
+_ZONE_ABOVE = 0.6
+
+
+def _quad_orientation(x, y, z, q0, q1, q2, q3):
+    """det(p1 - p0, p2 - p0, p3 - p0) for index arrays q0 < q1 < q2 < q3.
+
+    For four points on the sphere its sign says on which side of the plane
+    of (p0, p1, p2) the point p3 lies, that is whether p3 is inside their
+    circumcircle.  Callers pass the indices in increasing order, so every
+    test of one quadruple reads the same rounded number.
+    """
+    x0, y0, z0 = x[q0], y[q0], z[q0]
+    ux, uy, uz = x[q1] - x0, y[q1] - y0, z[q1] - z0
+    vx, vy, vz = x[q2] - x0, y[q2] - y0, z[q2] - z0
+    wx, wy, wz = x[q3] - x0, y[q3] - y0, z[q3] - z0
+    return ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx)
+
+
+def _corner_normals(x, y, z, a, b, c):
+    """The components of (b - a) x (c - a) for index arrays a, b, c, and its
+    dot product with a, which is det(a, b, c)."""
+    xa, ya, za = x[a], y[a], z[a]
+    ux, uy, uz = x[b] - xa, y[b] - ya, z[b] - za
+    vx, vy, vz = x[c] - xa, y[c] - ya, z[c] - za
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return (nx, ny, nz), nx * xa + ny * ya + nz * za
+
+
+def _fibonacci_triangles(n: int) -> np.ndarray:
+    """The Delaunay triangles of the n-point net, read off its index offsets.
+
+    With F_1 = F_2 = 1, Q_k(i) = (i, i+F_{k-1}, i+F_k, i+F_{k+1}) is a lattice
+    parallelogram with the long diagonal (i, i+F_{k+1}).  For each i and each
+    k in the zone window its halves A = (i, i+F_{k-1}, i+F_{k+1}) and
+    B = (i, i+F_k, i+F_{k+1}) are candidates; at k = 2 both are (i, i+1, i+2).
+    A candidate is dropped when the lattice reflection of a corner across one
+    of two edges lies inside its circumcircle.  Across the long diagonal the
+    reflection completes Q_k(i); across A's edge (i, i+F_{k-1}) it completes
+    Q_{k+1}(i - F_k), and across B's edge (i+F_k, i+F_{k+1}) it completes
+    Q_{k+1}(i).  Each parallelogram's in-circle determinant is taken once,
+    over its sorted corners, and on an exact tie the long diagonal wins.  The
+    third edge's reflection decided no triangle at any N of the sweep that
+    set the zone window, so it is not tested here.  Rows come out positively
+    oriented, lowest index first.  Nothing here is trusted: the certificate
+    in net_covering_error tests every edge.
+    """
+    points, _, _ = _fibonacci_net(n)
+    x, y, z = (np.ascontiguousarray(col) for col in points.T)
+    fib = [0, 1, 1]
+    while fib[-1] < n:
+        fib.append(fib[-1] + fib[-2])
+    # k - p in [-below, above] holds where 1 - z² lies in
+    # [phi^(2(k - above)), phi^(2(k + below))] / (sqrt(5)·pi·N)
+    scale = np.sqrt(5.0) * np.pi * n
+    windows = {}
+    for k in range(2, len(fib) - 1):
+        span = fib[k + 1]
+        if span >= n or _PHI ** (2 * (k - _ZONE_ABOVE)) > scale:
+            break
+        mid_z = 1.0 - (2.0 * np.arange(n - span) + span + 1.0) / n
+        room = 1.0 - mid_z * mid_z
+        below = _CAP_ZONE_BELOW if k <= 3 else _ZONE_BELOW
+        windows[k] = np.flatnonzero(
+            (room >= _PHI ** (2 * (k - _ZONE_ABOVE)) / scale)
+            & (room <= _PHI ** (2 * (k + below)) / scale)
+        )
+    # quad[k][i]: the sorted determinant of Q_k(i) where a candidate needs it,
+    # NaN elsewhere.  Q_k(i) does not fit for i >= n - F_{k+1}, so those
+    # entries stay NaN, and a negative index i - F_{k-1} reads one of them.
+    quad = {}
+    for k in range(3, max(windows) + 2):
+        need = np.zeros(n, dtype=bool)
+        need[windows.get(k, [])] = True
+        level_below = windows[k - 1]
+        need[level_below] = True
+        need[level_below - fib[k - 1]] = True
+        need[max(n - fib[k + 1], 0) :] = False
+        i = np.flatnonzero(need)
+        quad[k] = np.full(n, np.nan)
+        quad[k][i] = _quad_orientation(x, y, z, i, i + fib[k - 1], i + fib[k], i + fib[k + 1])
+    # a reflection r lies inside the circumcircle of (a, b, c) when its height
+    # over the triangle, positively oriented, is positive.  Listed as (a, b, c),
+    # r's height is the sorted determinant times the parity that sorts
+    # (a, b, c, r): odd for both tests of (i, i+F_{k-1}, i+F_{k+1}), even for
+    # both of (i, i+F_k, i+F_{k+1}); orienting multiplies it by sign(det).
+    # A tie drops the triangle unless the tested edge is its long one.
+    rows = []
+    for k, i in windows.items():
+        if k == 2:
+            shapes = [(i + 1, [], [-quad[3][i - 1], quad[3][i]])]
+        else:
+            shapes = [
+                (i + fib[k - 1], [-quad[k][i]], [-quad[k + 1][i - fib[k]]]),
+                (i + fib[k], [quad[k][i]], [quad[k + 1][i]]),
+            ]
+        c = i + fib[k + 1]
+        for b, long_edge, far_edges in shapes:
+            sign = np.sign(_corner_normals(x, y, z, i, b, c)[1])
+            drop = np.zeros(len(i), dtype=bool)
+            for height in long_edge:
+                drop |= sign * height > 0
+            for height in far_edges:
+                drop |= sign * height >= 0
+            flip = sign < 0
+            rows.append(np.stack([i, np.where(flip, c, b), np.where(flip, b, c)], axis=1)[~drop])
+    return np.concatenate(rows)
+
+
+def _certify_delaunay(x, y, z, triangles: np.ndarray):
+    """Check that ``triangles`` are the Delaunay triangles of the points
+    (x, y, z) on the unit sphere, and return their normals (b - a) x (c - a).
+
+    Each failed check raises NumericsError:
+
+    1. there are 2N - 4 triangles and every point is a corner of one;
+    2. every triangle's plane has the centre strictly inside: n·a > 0 for the
+       normal n = (b - a) x (c - a), so n·a = det(a, b, c);
+    3. every directed edge appears once, and its reverse appears once;
+    4. the triangles' solid angles add up to 4·pi;
+    5. across every edge the opposite vertex is not above the triangle's plane.
+
+    Why they suffice: by 2 each triangle projects from the centre onto a
+    positively oriented spherical triangle, and by 3 the triangles close up
+    into an oriented surface, so their solid angles add up to 4·pi times the
+    number of times the projection covers the sphere.  By 4 it covers the
+    sphere once: the triangles tile it, and by 1 their corners are all N
+    points (2N - 4 is Euler's count).  Without 4, two triangulations of
+    interleaved subsets could pass 1, 2, 3 and 5 together.  By 5 every edge
+    is locally Delaunay, and a triangulation of the sphere that is locally
+    Delaunay at every edge is the Delaunay triangulation: every point is on
+    or below each triangle's plane, so the triangles are the convex hull's
+    facets.  Check 5 takes the in-circle determinant over the four corners
+    in index order, as _fibonacci_triangles does, so the two triangles of an
+    edge read the same rounded number.
+    """
+    n = len(x)
+    if len(triangles) != 2 * n - 4 or np.bincount(triangles.ravel(), minlength=n).min() == 0:
+        raise NumericsError(
+            f"{len(triangles)} net triangles do not triangulate {n} points (need {2 * n - 4})"
+        )
+    a, b, c = triangles.T
+    normal, det = _corner_normals(x, y, z, a, b, c)
+    if not np.all(det > 0):
+        # the centre is not strictly inside, so the points fit in a hemisphere
+        # or a triangle is folded over
+        raise NumericsError("net triangles do not all face away from the centre of the sphere")
+    head = np.concatenate([a, b, c])
+    tail = np.concatenate([b, c, a])
+    third = np.concatenate([c, a, b])
+    # each undirected edge must come out of the sort exactly twice, once in
+    # each direction; the partner's third corner is the opposite vertex
+    edge_key = np.minimum(head, tail).astype(np.int64) * n + np.maximum(head, tail)
+    order = np.argsort(edge_key)
+    key = edge_key[order]
+    first, second = order[0::2], order[1::2]
+    if not (
+        np.array_equal(key[0::2], key[1::2])
+        and np.all(key[2::2] > key[1:-1:2])
+        and np.all((head[first] < tail[first]) != (head[second] < tail[second]))
+    ):
+        raise NumericsError("net triangles do not pair every directed edge with its reverse")
+    xa, ya, za, xb, yb, zb, xc, yc, zc = x[a], y[a], z[a], x[b], y[b], z[b], x[c], y[c], z[c]
+    dots = xa * xb + ya * yb + za * zb + xb * xc + yb * yc + zb * zc + xc * xa + yc * ya + zc * za
+    coverings = 2 * np.arctan2(det, 1.0 + dots).sum() / (4 * np.pi)
+    if abs(coverings - 1.0) > 1e-9:
+        raise NumericsError(f"net triangles cover the sphere {coverings:.6g} times, not once")
+    # sort each edge's four corners with a sorting network, tracking parity
+    q = [head[first], tail[first], third[first], third[second]]
+    odd = np.zeros(len(first), dtype=bool)
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        odd ^= q[i] > q[j]
+        q[i], q[j] = np.minimum(q[i], q[j]), np.maximum(q[i], q[j])
+    height = _quad_orientation(x, y, z, *q)
+    if np.any(np.where(odd, -height, height) > 0):
+        raise NumericsError("a net triangle's circumcircle holds its neighbour across an edge")
+    return normal
 
 
 def net_covering_error(points: np.ndarray) -> float:
     """sin(alpha/2) for the net's covering angle alpha, the worst-case drop
     of <psi|A|psi> (0 <= A <= I) between any state and its nearest net point.
 
-    The covering angle is attained at a spherical Voronoi vertex.  For unit
-    points each facet of the convex hull is a spherical Delaunay triangle
-    whose unit outward normal is a Voronoi vertex, and that vertex's nearest
-    net points are the facet's own corners, so the bound needs O(N) memory.
+    The covering angle is attained at a spherical Voronoi vertex, the
+    circumcentre of a spherical Delaunay triangle, whose nearest net points
+    are the triangle's own corners.  The triangles come from the index
+    offsets of the Fibonacci net of len(points) points, and
+    _certify_delaunay proves them the Delaunay triangles of ``points`` or
+    raises NumericsError; points that are not that net fail it unless their
+    triangulation is the net's.  Where four or more points are cocircular,
+    every split of their polygon has the same circumcircle, so the bound
+    does not depend on the split.  It needs O(N) time and memory.
     """
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(points)
-    except QhullError as exc:
-        raise NumericsError(f"net points span no convex hull: {exc}") from exc
-    if not np.all(hull.equations[:, 3] < 0):
-        # the centre is not strictly inside, so the points fit in a hemisphere
-        # and the facet normals are not the Voronoi vertices
-        raise NumericsError("net points do not surround the centre of the sphere")
-    normals = hull.equations[:, :3]
-    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    facet_cos = np.einsum("fk,fck->fc", normals, points[hull.simplices]).max(axis=1)
+    x, y, z = (np.ascontiguousarray(col, dtype=float) for col in np.asarray(points).T)
+    if len(x) < 4:
+        raise NumericsError(f"{len(x)} net points span no triangulation")
+    triangles = _fibonacci_triangles(len(x))
+    nx, ny, nz = _certify_delaunay(x, y, z, triangles)
+    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
+    nx, ny, nz = nx / norm, ny / norm, nz / norm
+    facet_cos = np.max([nx * x[t] + ny * y[t] + nz * z[t] for t in triangles.T], axis=0)
     alpha = float(np.arccos(np.clip(facet_cos.min(), -1.0, 1.0)))
     return math.sin(alpha / 2)
+
+
+def _bloch_quadratic_forms(stacked: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """<psi|A|psi> for every Hermitian 2x2 A in ``stacked`` and every pure
+    state psi with Bloch vector r in ``points``, as tr(A)/2 + a·r with
+    a = (Re A01, -Im A01, (A00 - A11)/2): one real (G, 3) @ (3, N) product."""
+    diag = stacked[:, [0, 1], [0, 1]].real
+    bloch = np.stack(
+        [stacked[:, 0, 1].real, -stacked[:, 0, 1].imag, (diag[:, 0] - diag[:, 1]) / 2], axis=1
+    )
+    return bloch @ points.T + (diag.sum(axis=1) / 2)[:, None]
 
 
 def brute_force_unentangled_value(
@@ -456,12 +660,12 @@ def brute_force_unentangled_value(
     best_value = -np.inf
     best_table = None
     best_state = 0
-    for block in _response_map_blocks(n_y, n_z, cfg.net_resolution * d):
+    for block in _response_map_blocks(n_y, n_z, cfg.net_resolution):
         stacked = arr[y_index, block].sum(axis=1)
         eigs = np.linalg.eigvalsh(stacked)
         if eigs.min() < -VALUE_RANGE_TOL or eigs.max() > 1 + VALUE_RANGE_TOL:
             raise NumericsError("a response map's acceptance operator escaped [0, I]")
-        values = np.einsum("nd,kde,ne->kn", states.conj(), stacked, states, optimize=True).real
+        values = _bloch_quadratic_forms(stacked, points)
         flat = int(np.argmax(values))
         g_idx, s_idx = divmod(flat, cfg.net_resolution)
         if values[g_idx, s_idx] > best_value:

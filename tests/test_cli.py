@@ -259,6 +259,28 @@ def test_cli_import_leaves_scipy_spatial_unloaded(tmp_path, cli_env):
     assert proc.stdout.strip() == "[]"
 
 
+def test_nexp_decide_loads_no_scipy(tmp_path, cli_env):
+    # the net search and its covering bound are numpy only, so the README's
+    # nexp-decide command runs to its report without importing any scipy module
+    probe = (
+        "import sys, qiplab.cli; "
+        "status = qiplab.cli.main(['nexp-decide', '--c', '0.8', '--s', '0.6', "
+        "'--resolution', '2000']); "
+        "print(status, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path,
+        env=cli_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
+    assert (tmp_path / "nexp-decide.csv").exists()
+
+
 def test_channel_documents_round_trip():
     rng = derived_rng(11, "cli-docs")
     layout = RegisterLayout(("M", "V"), (2, 3))

@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import SphericalVoronoi
+from scipy.spatial import ConvexHull, SphericalVoronoi
 
 from qiplab import (
     BudgetError,
@@ -273,6 +273,160 @@ def test_covering_bound_refuses_points_that_do_not_surround_the_centre():
     t = np.linspace(0, 2 * np.pi, 12, endpoint=False)
     with pytest.raises(NumericsError):
         net_covering_error(np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1))
+
+
+def _hull_covering_error(points):
+    """The bound read off scipy's convex hull, with the hull's facets: the
+    reference for the certified net triangles."""
+    hull = ConvexHull(points)
+    normals = hull.equations[:, :3]
+    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    facet_cos = np.einsum("fk,fck->fc", normals, points[hull.simplices]).max(axis=1)
+    return math.sin(float(np.arccos(np.clip(facet_cos.min(), -1.0, 1.0))) / 2), hull.simplices
+
+
+def _circumcircle_cos(points, triangles):
+    a, b, c = (points[triangles[:, j]] for j in range(3))
+    normal = np.cross(b - a, c - a)
+    return np.einsum("ij,ij->i", normal / np.linalg.norm(normal, axis=1, keepdims=True), a)
+
+
+def _sorted_triples(triangles, n):
+    """Each triangle's sorted corners (a, b, c) as the key (a·n + b)·n + c, sorted."""
+    t = np.sort(triangles, axis=1).astype(np.int64)
+    return np.sort((t[:, 0] * n + t[:, 1]) * n + t[:, 2])
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [range(4, 501), (1999, 2000, 4999, 5000, 20000, 100000)],
+    ids=["every-n-to-500", "large"],
+)
+def test_certified_net_triangles_are_the_hull_facets(sizes):
+    for n in sizes:
+        points, _ = fibonacci_sphere_states(n)
+        bound = net_covering_error(points)
+        hull_bound, simplices = _hull_covering_error(points)
+        ours = _sorted_triples(optimize._fibonacci_triangles(n), n)
+        theirs = _sorted_triples(simplices, n)
+        if not np.array_equal(ours, theirs):
+            # a cocircular polygon may be split either way, each split with its circumcircle
+            unpack = lambda keys: np.stack([keys // (n * n), keys // n % n, keys % n], axis=1)
+            ours_cos = _circumcircle_cos(points, unpack(np.setdiff1d(ours, theirs)))
+            theirs_cos = _circumcircle_cos(points, unpack(np.setdiff1d(theirs, ours)))
+            for one, other in ((ours_cos, theirs_cos), (theirs_cos, ours_cos)):
+                assert all(np.min(np.abs(other - c), initial=1.0) < 1e-12 for c in one), n
+        if n in (2000, 5000):
+            assert bound == hull_bound
+        else:
+            assert abs(bound - hull_bound) <= 2e-14, n
+
+
+def _nudged_net(n):
+    """The n-point net with one point moved 1e-7 rad past the circumcircle of
+    the triangle across one of its edges, the edge whose quadrilateral is
+    closest to cocircular, so that the Delaunay triangulation flips that edge."""
+    points, _ = fibonacci_sphere_states(n)
+    triangles = optimize._fibonacci_triangles(n)
+    opposite = {(a, b): c for t in triangles.tolist() for a, b, c in (t, t[1:] + t[:1], t[2:] + t[:2])}
+    best = None
+    for (u, v), w in opposite.items():
+        d = opposite[(v, u)]
+        normal = np.cross(points[v] - points[u], points[w] - points[u])
+        centre = normal / np.linalg.norm(normal)
+        margin = math.acos(np.dot(points[d], centre)) - math.acos(np.dot(points[u], centre))
+        if best is None or margin < best[0]:
+            best = (margin, d, centre)
+    margin, d, centre = best
+    toward = centre - np.dot(centre, points[d]) * points[d]
+    toward /= np.linalg.norm(toward)
+    nudged = points.copy()
+    nudged[d] = math.cos(margin + 1e-7) * points[d] + math.sin(margin + 1e-7) * toward
+    return nudged, {tuple(sorted(t)) for t in triangles.tolist()}
+
+
+def test_covering_bound_refuses_a_net_with_one_flipped_edge():
+    nudged, lattice = _nudged_net(200)
+    _, simplices = _hull_covering_error(nudged)
+    hull = {tuple(t) for t in np.sort(simplices, axis=1).tolist()}
+    assert len(hull - lattice) == len(lattice - hull) == 2
+    with pytest.raises(NumericsError, match="circumcircle"):
+        net_covering_error(nudged)
+
+
+def test_covering_bound_refuses_swapped_net_points():
+    points, _ = fibonacci_sphere_states(200)
+    points[[50, 150]] = points[[150, 50]]
+    with pytest.raises(NumericsError, match="face away from the centre"):
+        net_covering_error(points)
+    # the hemisphere and the equator fail the same check
+    points, _ = fibonacci_sphere_states(200)
+    t = np.linspace(0, 2 * np.pi, 12, endpoint=False)
+    for bad in (points[points[:, 2] > 0], np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)):
+        with pytest.raises(NumericsError, match="face away from the centre"):
+            net_covering_error(bad)
+
+
+def _certify(points, triangles):
+    return optimize._certify_delaunay(*np.ascontiguousarray(points.T), np.asarray(triangles))
+
+
+def test_certificate_refuses_a_point_left_out():
+    points, _ = fibonacci_sphere_states(50)
+    triangles = optimize._fibonacci_triangles(50)
+    _certify(points, triangles)
+    extra = np.vstack([points, [[0.0, 0.6, 0.8]]])
+    with pytest.raises(NumericsError, match="do not triangulate"):
+        _certify(extra, triangles)
+
+
+def test_certificate_refuses_an_unpaired_edge():
+    points, _ = fibonacci_sphere_states(50)
+    triangles = optimize._fibonacci_triangles(50)
+    triangles[0] = triangles[1]
+    with pytest.raises(NumericsError, match="pair every directed edge"):
+        _certify(points, triangles)
+
+
+def test_certificate_refuses_two_interleaved_triangulations():
+    # two octahedra sharing the poles, the second turned by 45 degrees: 16 =
+    # 2 * 10 - 4 positively oriented, edge-paired, locally Delaunay triangles
+    # that cover the sphere twice
+    r = 1 / math.sqrt(2)
+    points = np.array(
+        [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
+         [r, r, 0], [-r, r, 0], [-r, -r, 0], [r, -r, 0]]
+    )
+    triangles = []
+    for ring in ((0, 1, 2, 3), (6, 7, 8, 9)):
+        for i in range(4):
+            a, b = ring[i], ring[(i + 1) % 4]
+            triangles += [(a, b, 4), (b, a, 5)]
+    with pytest.raises(NumericsError, match="cover the sphere 2 times"):
+        _certify(points, triangles)
+
+
+def _einsum_quadratic_forms(stacked, states):
+    """The scan's quadratic forms as the net search computed them before the
+    Bloch form: a test-only reference."""
+    return np.einsum("nd,kde,ne->kn", states.conj(), stacked, states, optimize=True).real
+
+
+@given(seed=st.integers(0, 2**32 - 1), maps=st.integers(1, 8), n=st.integers(4, 400))
+def test_bloch_scan_matches_the_quadratic_forms(seed, maps, n):
+    rng = derived_rng(seed, "bloch-scan")
+    raw = rng.normal(size=(maps, 2, 2)) + 1j * rng.normal(size=(maps, 2, 2))
+    unitary, _ = np.linalg.qr(raw)
+    spectra = rng.uniform(0.0, 1.0, size=(maps, 1, 2))
+    stacked = (unitary * spectra) @ unitary.conj().swapaxes(1, 2)
+    stacked = (stacked + stacked.conj().swapaxes(1, 2)) / 2
+    points, states = fibonacci_sphere_states(n)
+    bloch = optimize._bloch_quadratic_forms(stacked, points)
+    reference = _einsum_quadratic_forms(stacked, states)
+    assert np.max(np.abs(bloch - reference)) <= 1e-13
+    second, first = np.sort(reference.ravel())[-2:]
+    if first - second > 1e-12:
+        assert np.argmax(bloch) == np.argmax(reference)
 
 
 def test_net_scan_matches_direct_quadratic_forms():
