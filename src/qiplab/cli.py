@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -325,13 +325,13 @@ class ExperimentConfig:
     params: Mapping[str, Any]
 
     def __post_init__(self):
-        if self.command not in _PARAM_TABLES:
+        if self.command not in _COMMANDS:
             raise ValidationError(f"unknown command {self.command!r}")
-        table = _PARAM_TABLES[self.command]
+        table = _COMMANDS[self.command].params
         merged: dict[str, Any] = {}
-        for name, (convert, default) in table.items():
+        for name, (kind, default) in table.items():
             value = self.params.get(name, default)
-            merged[name] = default if value is None else convert(name, value)
+            merged[name] = default if value is None else _convert(name, kind, value)
         unknown = set(self.params) - set(table)
         if unknown:
             raise ValidationError(f"unknown parameters for {self.command}: {sorted(unknown)}")
@@ -341,67 +341,20 @@ class ExperimentConfig:
         return {"command": self.command, **self.params}
 
 
-def _as_int(name: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"parameter {name} must be an integer, got {value!r}")
-    return value
-
-
-def _as_float(name: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"parameter {name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+def _convert(name: str, kind: type, value: Any) -> Any:
+    """``value`` as a ``kind`` (int, float or str) parameter.  Bools are not
+    numbers here, an int stands for a float, and floats must be finite."""
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValidationError(f"parameter {name} must be a string, got {value!r}")
+        return value
+    accepted = (int, float) if kind is float else int
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        noun = "a number" if kind is float else "an integer"
+        raise ValidationError(f"parameter {name} must be {noun}, got {value!r}")
+    if kind is float and not math.isfinite(value):
         raise ValidationError(f"parameter {name} must be finite, got {value!r}")
-    return float(value)
-
-
-def _as_str(name: str, value: Any) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"parameter {name} must be a string, got {value!r}")
-    return value
-
-
-_PARAM_TABLES: dict[str, dict[str, tuple[Callable[[str, Any], Any], Any]]] = {
-    "chsh-gap": {
-        "restarts": (_as_int, 16),
-        "seed": (_as_int, 0),
-        "csv": (_as_str, "chsh-gap.csv"),
-    },
-    "canonicalize": {
-        "trials": (_as_int, 50),
-        "seed": (_as_int, 0),
-        "spec": (_as_str, None),
-        "prover": (_as_str, None),
-        "emit": (_as_str, None),
-        "csv": (_as_str, "canonicalize.csv"),
-    },
-    "eb-check": {
-        "count": (_as_int, 100),
-        "seed": (_as_int, 0),
-        "channel": (_as_str, None),
-        "csv": (_as_str, "eb-check.csv"),
-    },
-    "nexp-decide": {
-        "c": (_as_float, 0.8),
-        "s": (_as_float, 0.6),
-        "resolution": (_as_int, 2000),
-        "seed": (_as_int, 0),
-        "csv": (_as_str, "nexp-decide.csv"),
-    },
-    "subsample": {
-        "family": (_as_str, "chsh"),
-        "r": (_as_int, 256),
-        "eps": (_as_float, 0.1),
-        "trials": (_as_int, 100),
-        "seed": (_as_int, 0),
-        "csv": (_as_str, "subsample.csv"),
-    },
-    "amplify": {
-        "p": (_as_float, 0.5),
-        "k": (_as_int, 41),
-        "csv": (_as_str, "amplify.csv"),
-    },
-}
+    return kind(value)
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +471,84 @@ def _run_amplify(params: Mapping[str, Any]):
     return ("p", "k", "value"), [(params["p"], params["k"], value)], None, summary
 
 
-_RUNNERS = {
-    "chsh-gap": _run_chsh_gap,
-    "canonicalize": _run_canonicalize,
-    "eb-check": _run_eb_check,
-    "nexp-decide": _run_nexp_decide,
-    "subsample": _run_subsample,
-    "amplify": _run_amplify,
+class _Command(NamedTuple):
+    run: Callable[[Mapping[str, Any]], tuple]
+    help: str
+    params: dict[str, tuple[type, Any]]
+
+
+# every subcommand once: its runner, its help line, and each parameter as
+# name: (type, default); a parameter is both a --name flag and a config key
+_COMMANDS: dict[str, _Command] = {
+    "chsh-gap": _Command(
+        _run_chsh_gap,
+        "exact classical value vs see-saw entangled value",
+        {"csv": (str, "chsh-gap.csv"), "restarts": (int, 16), "seed": (int, 0)},
+    ),
+    "canonicalize": _Command(
+        _run_canonicalize,
+        "fold raw unentangled provers into canonical form",
+        {
+            "csv": (str, "canonicalize.csv"),
+            "trials": (int, 50),
+            "seed": (int, 0),
+            "spec": (str, None),
+            "prover": (str, None),
+            "emit": (str, None),
+        },
+    ),
+    "eb-check": _Command(
+        _run_eb_check,
+        "partial-transpose test on Choi states",
+        {
+            "csv": (str, "eb-check.csv"),
+            "count": (int, 100),
+            "seed": (int, 0),
+            "channel": (str, None),
+        },
+    ),
+    "nexp-decide": _Command(
+        _run_nexp_decide,
+        "net-based threshold decision on the built-in game",
+        {
+            "csv": (str, "nexp-decide.csv"),
+            "c": (float, 0.8),
+            "s": (float, 0.6),
+            "resolution": (int, 2000),
+            "seed": (int, 0),
+        },
+    ),
+    "subsample": _Command(
+        _run_subsample,
+        "challenge subsampling deviation experiment",
+        {
+            "csv": (str, "subsample.csv"),
+            "family": (str, "chsh"),
+            "r": (int, 256),
+            "eps": (float, 0.1),
+            "trials": (int, 100),
+            "seed": (int, 0),
+        },
+    ),
+    "amplify": _Command(
+        _run_amplify,
+        "exact majority-vote amplification probability",
+        {"csv": (str, "amplify.csv"), "p": (float, 0.5), "k": (int, 41)},
+    ),
+}
+
+_FLAG_HELP = {
+    "csv": "CSV report path",
+    "spec": "protocol document to canonicalize against",
+    "prover": "raw strategy document",
+    "emit": "write the canonical strategy document here",
+    "channel": "channel document to check instead of a seeded batch",
 }
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute the experiment, write its CSV report, print the summary."""
-    columns, rows, footer, summary = _RUNNERS[config.command](config.params)
+    columns, rows, footer, summary = _COMMANDS[config.command].run(config.params)
     csv_path = Path(config.params["csv"])
     csv_path.write_bytes(render_csv(columns, rows, config.document(), footer))
     print(summary)
@@ -558,46 +576,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qiplab", description="seeded experiments with CSV reports"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
         p.add_argument("--config", help="JSON config file ('-' for stdin); flags override")
-        p.add_argument("--csv", help="CSV report path")
-        return p
-
-    p = add("chsh-gap", "exact classical value vs see-saw entangled value")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("canonicalize", "fold raw unentangled provers into canonical form")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--spec", help="protocol document to canonicalize against")
-    p.add_argument("--prover", help="raw strategy document")
-    p.add_argument("--emit", help="write the canonical strategy document here")
-
-    p = add("eb-check", "partial-transpose test on Choi states")
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--channel", help="channel document to check instead of a seeded batch")
-
-    p = add("nexp-decide", "net-based threshold decision on the built-in game")
-    p.add_argument("--c", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("subsample", "challenge subsampling deviation experiment")
-    p.add_argument("--family")
-    p.add_argument("--r", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("amplify", "exact majority-vote amplification probability")
-    p.add_argument("--p", type=float)
-    p.add_argument("--k", type=int)
-
+        for name, (kind, _) in spec.params.items():
+            p.add_argument(f"--{name}", type=kind, help=_FLAG_HELP.get(name))
     return parser
 
 

@@ -258,13 +258,11 @@ def _measurement_step(povms: np.ndarray, steering: np.ndarray) -> np.ndarray:
     """One coordinate-ascent sweep of every response POVM in the stack.
 
     ``povms`` and ``steering`` have shape (..., n_z, k, k), one POVM per
-    leading index.  Binary alphabets get the closed-form optimum; larger
-    ones sweep ordered pairs, reoptimizing each pair inside its combined
-    budget R.
+    leading index.  Binary alphabets get the closed-form optimum; other
+    ones sweep each pair of responses, reoptimizing it inside its combined
+    budget R (one response has no pair, so its POVM comes back as is).
     """
     n_z = povms.shape[-3]
-    if n_z == 1:
-        return povms
     if n_z == 2:
         proj = _nonneg_eigenspace_projector(steering[..., 0, :, :] - steering[..., 1, :, :])
         return np.stack([proj, np.eye(proj.shape[-1]) - proj], axis=-3)
@@ -652,34 +650,24 @@ def brute_force_unentangled_value(
             f"net resolution {cfg.net_resolution} exceeds the budget {NET_RESOLUTION_BUDGET}"
         )
     fam = joint_response_operators(spec)
-    _check_enumeration_budget(fam)
     points, states = fibonacci_sphere_states(cfg.net_resolution)
     arr = _family_array(fam)
     n_y, n_z = arr.shape[:2]
-    y_index = np.arange(n_y)
-    best_value = -np.inf
-    best_table = None
-    best_state = 0
-    for block in _response_map_blocks(n_y, n_z, cfg.net_resolution):
-        stacked = arr[y_index, block].sum(axis=1)
-        eigs = np.linalg.eigvalsh(stacked)
-        if eigs.min() < -VALUE_RANGE_TOL or eigs.max() > 1 + VALUE_RANGE_TOL:
-            raise NumericsError("a response map's acceptance operator escaped [0, I]")
-        values = _bloch_quadratic_forms(stacked, points)
-        flat = int(np.argmax(values))
-        g_idx, s_idx = divmod(flat, cfg.net_resolution)
-        if values[g_idx, s_idx] > best_value:
-            best_value = float(values[g_idx, s_idx])
-            best_table = block[g_idx]
-            best_state = s_idx
+    # with one-qubit M there are 2 challenges and 2 responses: four maps,
+    # scanned as one stack in lexicographic order (argmax keeps the first max)
+    tables = np.array(list(itertools.product(range(n_z), repeat=n_y)), dtype=np.intp)
+    stacked = arr[np.arange(n_y), tables].sum(axis=1)
+    eigs = np.linalg.eigvalsh(stacked)
+    if eigs.min() < -VALUE_RANGE_TOL or eigs.max() > 1 + VALUE_RANGE_TOL:
+        raise NumericsError("a response map's acceptance operator escaped [0, I]")
+    values = _bloch_quadratic_forms(stacked, points)
+    g_idx, s_idx = np.unravel_index(np.argmax(values), values.shape)
     witness = {
-        "responses": {
-            y: fam.responses[z] for y, z in zip(fam.challenges, best_table)
-        },
-        "state": states[best_state],
+        "responses": {y: fam.responses[z] for y, z in zip(fam.challenges, tables[g_idx])},
+        "state": states[s_idx],
     }
     return ValueReport(
-        best_value, witness, (), "net", net_error=net_covering_error(points)
+        float(values[g_idx, s_idx]), witness, (), "net", net_error=net_covering_error(points)
     )
 
 

@@ -190,11 +190,6 @@ class DensityMatrix:
     def pure(cls, psi: PureState) -> "DensityMatrix":
         return cls(psi.layout, psi.projector())
 
-    @classmethod
-    def maximally_mixed(cls, layout: RegisterLayout) -> "DensityMatrix":
-        d = layout.total_dim
-        return cls(layout, np.eye(d) / d)
-
 
 @dataclass(frozen=True)
 class MeasurementOperator:

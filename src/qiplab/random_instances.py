@@ -45,11 +45,6 @@ def random_density(rng: np.random.Generator, layout: RegisterLayout, rank: int |
     return DensityMatrix(layout, mat / np.trace(mat).real)
 
 
-def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + dagger(g)) / 2
-
-
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)

@@ -1,5 +1,6 @@
 """End-to-end checks of the experiment runner and its document formats."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qiplab
@@ -18,14 +19,19 @@ from qiplab import (
     CanonicalStrategy,
     ClassicalResponseStrategy,
     EbChannel,
+    EntangledStrategy,
     KrausChannel,
     acceptance_probability,
+    canonicalize_prover,
     channels_equal,
 )
 from qiplab.cli import (
+    _COMMANDS,
     ExperimentConfig,
+    build_parser,
     channel_document,
     channel_from_document,
+    config_from_args,
     dumps_document,
     fmt17,
     main,
@@ -41,6 +47,8 @@ from qiplab.random_instances import (
     random_classical_response,
     random_eb_channel,
     random_kraus_channel,
+    random_public_coin_spec,
+    random_qcip2_spec,
     random_raw_prover,
     random_verifier_spec,
 )
@@ -161,6 +169,38 @@ def test_config_file_merges_and_flags_override(tmp_path):
     assert int(cells[1]) == 7
 
 
+def _non_default(kind, default):
+    """A value of the parameter's type that differs from its default."""
+    if kind is str:
+        return f"{default}-other.json"
+    return default + 1 if kind is int else default + 0.125
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [(command, name) for command, spec in _COMMANDS.items() for name in spec.params],
+)
+def test_every_flag_and_its_config_key_agree(tmp_path, command, name):
+    kind, default = _COMMANDS[command].params[name]
+    value = _non_default(kind, default)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: value}))
+    parser = build_parser()
+    from_flag = config_from_args(parser.parse_args([command, f"--{name}", str(value)]))
+    from_file = config_from_args(parser.parse_args([command, "--config", str(cfg)]))
+    assert from_flag.params == from_file.params
+    assert from_flag.params[name] == value
+    assert type(from_flag.params[name]) is kind
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_command_prints_its_help(command, capsys):
+    with pytest.raises(SystemExit) as stop:
+        build_parser().parse_args([command, "--help"])
+    assert stop.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
 def test_config_arrives_on_stdin(tmp_path, run_cli):
     proc = run_cli(
         ["amplify", "--config", "-", "--csv", "out.csv"],
@@ -216,8 +256,10 @@ REFERENCE_CSV_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "refe
     [
         ["chsh-gap", "--restarts", "16", "--seed", "7"],
         ["subsample", "--family", "chsh", "--r", "256", "--eps", "0.1", "--trials", "100", "--seed", "1"],
+        ["eb-check", "--count", "100", "--seed", "0"],
+        ["amplify", "--p", "0.6666666666666666", "--k", "41"],
     ],
-    ids=["chsh-gap", "subsample"],
+    ids=["chsh-gap", "subsample", "eb-check", "amplify"],
 )
 def test_readme_solver_reports_match_the_recorded_bytes(tmp_path, run_cli, args):
     proc = run_cli(args, cwd=tmp_path)
@@ -317,6 +359,69 @@ def test_protocol_and_strategy_documents_round_trip():
         a = acceptance_probability(spec, prover)
         assert acceptance_probability(spec_again, again) == pytest.approx(a, abs=1e-12)
     assert isinstance(strategy_from_document(doc), ClassicalResponseStrategy)
+
+
+def _assert_identical(a, b, path="document"):
+    """Same types, layouts, labels and flags, and arrays equal bit for bit."""
+    assert type(a) is type(b), path
+    if dataclasses.is_dataclass(a):
+        for field in dataclasses.fields(a):
+            name = field.name
+            _assert_identical(getattr(a, name), getattr(b, name), f"{path}.{name}")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), path
+    elif isinstance(a, tuple):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_identical(x, y, f"{path}[{i}]")
+    else:
+        assert a == b, path
+
+
+def _random_layout(rng, prefix):
+    dims = tuple(int(d) for d in rng.integers(2, 4, size=int(rng.integers(1, 3))))
+    return RegisterLayout(tuple(f"{prefix}{i}" for i in range(len(dims))), dims)
+
+
+def _document_forms(rng):
+    """(document, decoder, instance) for one random instance of every form."""
+    in_layout, out_layout = _random_layout(rng, "A"), _random_layout(rng, "B")
+    # a rectangular channel needs n_kraus * out_dim >= in_dim
+    n_kraus = -(-in_layout.total_dim // out_layout.total_dim) + int(rng.integers(0, 2))
+    channels = [
+        random_kraus_channel(rng, in_layout, n_kraus=n_kraus),
+        random_kraus_channel(rng, in_layout, out_layout, n_kraus=n_kraus),
+        random_eb_channel(rng, in_layout, out_layout, n_outcomes=int(rng.integers(1, 4))),
+    ]
+    private = random_verifier_spec(rng)
+    two_round = random_qcip2_spec(rng)
+    public, _ = random_public_coin_spec(rng)
+    raw = random_raw_prover(rng, private)
+    pm = raw.workspace.concat(private.m_layout)
+    strategies = [
+        raw,
+        canonicalize_prover(private, raw),
+        random_classical_response(rng, private),
+        random_classical_response(rng, two_round),
+        EntangledStrategy(
+            raw.workspace, random_kraus_channel(rng, pm), random_kraus_channel(rng, pm)
+        ),
+    ]
+    return (
+        [(channel_document, channel_from_document, c) for c in channels]
+        + [(protocol_document, protocol_from_document, p) for p in (private, two_round, public)]
+        + [(strategy_document, strategy_from_document, s) for s in strategies]
+    )
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_documents_round_trip_exactly(seed):
+    for document, decode, instance in _document_forms(derived_rng(seed, "doc-round-trip")):
+        text = dumps_document(document(instance))
+        again = decode(json.loads(text))
+        _assert_identical(instance, again)
+        assert dumps_document(document(again)) == text
 
 
 def test_dumps_document_sorts_keys_and_prints_17_digits():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -445,6 +446,64 @@ def test_net_scan_matches_direct_quadratic_forms():
         a = sum(fam.op(y, z).entries for y, z in report.witness["responses"].items())
         psi = report.witness["state"]
         assert abs((psi.conj() @ a @ psi).real - report.value) < 1e-12
+
+
+def _block_loop_net_search(spec, n):
+    """The net scan as it ran before its four response maps became one
+    stack: blocks of maps in lexicographic order, each scanned and argmax'd,
+    keeping a strictly better block's best.  A test-only reference."""
+    fam = joint_response_operators(spec)
+    points, states = fibonacci_sphere_states(n)
+    arr = optimize._family_array(fam)
+    n_y, n_z = arr.shape[:2]
+    y_index = np.arange(n_y)
+    tables = itertools.product(range(n_z), repeat=n_y)
+    step = max(1, optimize.STACK_ELEMENTS // n)
+    best_value, best_table, best_state = -np.inf, None, 0
+    while block := list(itertools.islice(tables, step)):
+        block = np.array(block, dtype=np.intp)
+        stacked = arr[y_index, block].sum(axis=1)
+        values = optimize._bloch_quadratic_forms(stacked, points)
+        g_idx, s_idx = divmod(int(np.argmax(values)), n)
+        if values[g_idx, s_idx] > best_value:
+            best_value = float(values[g_idx, s_idx])
+            best_table = block[g_idx]
+            best_state = s_idx
+    responses = {y: fam.responses[z] for y, z in zip(fam.challenges, best_table)}
+    return best_value, responses, states[best_state], net_covering_error(points)
+
+
+def _assert_net_search_matches_the_block_loop(spec, n):
+    report = brute_force_unentangled_value(spec, OptimizerConfig(net_resolution=n))
+    value, responses, state, net_error = _block_loop_net_search(spec, n)
+    assert report.value == value
+    assert report.witness["responses"] == responses
+    assert np.array_equal(report.witness["state"], state)
+    assert report.net_error == net_error
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 3000))
+def test_net_search_matches_the_block_loop_exactly(seed, n):
+    spec, _ = random_public_coin_spec(derived_rng(seed, "net-block-loop"))
+    _assert_net_search_matches_the_block_loop(spec, n)
+
+
+def _flat_spec():
+    """Acceptance 1/2 whatever the prover does, so every map and every net
+    point ties, and the witness is decided by the first-max rule alone."""
+    spec, _ = random_public_coin_spec(derived_rng(0, "flat-net"))
+    half = MeasurementOperator(spec.joint_layout(), np.eye(8) / 2)
+    return dataclasses.replace(spec, accept=half)
+
+
+@pytest.mark.parametrize(
+    "make_spec,n",
+    [(lambda: chsh_protocol()[0], 2000), (lambda: chsh_protocol()[0], 5000), (_flat_spec, 2000)],
+    ids=["chsh-2000", "chsh-5000", "flat-2000"],
+)
+def test_fixed_net_searches_match_the_block_loop_exactly(make_spec, n):
+    _assert_net_search_matches_the_block_loop(make_spec(), n)
 
 
 def test_net_resolution_budget_is_checked_before_the_net_is_built(monkeypatch):
