@@ -49,6 +49,7 @@ from .protocol import (
     chsh_protocol,
     joint_response_operators,
     postselected_acceptance,
+    public_coin_protocol,
     run_interaction,
     verifier_message_distribution,
 )

@@ -80,16 +80,6 @@ class KrausChannel:
     def from_unitary(cls, layout: RegisterLayout, u: np.ndarray) -> "KrausChannel":
         return cls(layout, layout, (np.asarray(u, dtype=np.complex128),))
 
-    def after(self, first: "KrausChannel") -> "KrausChannel":
-        """Composition self(first(.)) with pairwise Kraus products."""
-        if first.out_layout.total_dim != self.in_layout.total_dim:
-            raise LayoutError(
-                f"cannot compose: inner output dim {first.out_layout.total_dim} "
-                f"!= outer input dim {self.in_layout.total_dim}"
-            )
-        ops = tuple(a @ b for a in self.kraus_ops for b in first.kraus_ops)
-        return KrausChannel(first.in_layout, self.out_layout, ops)
-
 
 @dataclass(frozen=True)
 class EbChannel:

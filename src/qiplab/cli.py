@@ -84,7 +84,8 @@ def _write_json(node: Any, out: list[str]) -> None:
     elif isinstance(node, (int, np.integer)):
         out.append(str(int(node)))
     elif isinstance(node, (float, np.floating)):
-        out.append(fmt17(float(node)))
+        # "-0" would read back as the int 0, losing the sign
+        out.append("-0.0" if node == 0 and math.copysign(1.0, node) < 0 else fmt17(float(node)))
     elif node is None:
         out.append("null")
     elif isinstance(node, str):
@@ -99,14 +100,32 @@ def _encode_array(arr: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _decode_array(pairs: Sequence[Sequence[float]], shape: tuple[int, ...]) -> np.ndarray:
-    count = 1
-    for d in shape:
-        count *= d
-    if len(pairs) != count:
-        raise ValidationError(f"expected {count} entries for shape {shape}, got {len(pairs)}")
-    flat = np.array([complex(float(re), float(im)) for re, im in pairs], dtype=np.complex128)
-    return flat.reshape(shape)
+def _object(doc: Any, what: str) -> Mapping[str, Any]:
+    if not isinstance(doc, Mapping):
+        raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _field(doc: Mapping[str, Any], key: str, kind: type, optional: bool = False) -> Any:
+    """doc[key] read as a `kind` (null allowed when `optional`) through _convert."""
+    value = doc[key]
+    return None if optional and value is None else _convert(key, kind, value)
+
+
+def _items(doc: Mapping[str, Any], key: str, kind: type) -> list[Any]:
+    """The list doc[key], each item read as a `kind` through _convert."""
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ValidationError(f"{key} must be a JSON list, got {type(value).__name__}")
+    return [_convert(key, kind, item) for item in value]
+
+
+def _decode_array(pairs: Any, shape: tuple[int, ...]) -> np.ndarray:
+    count = math.prod(shape)
+    if not isinstance(pairs, list) or len(pairs) != count:
+        raise ValidationError(f"expected a list of {count} entries for shape {shape}")
+    flat = [complex(_convert("entry", float, re), _convert("entry", float, im)) for re, im in pairs]
+    return np.array(flat, dtype=np.complex128).reshape(shape)
 
 
 def _encode_layout(layout: RegisterLayout) -> dict[str, Any]:
@@ -114,7 +133,7 @@ def _encode_layout(layout: RegisterLayout) -> dict[str, Any]:
 
 
 def _decode_layout(doc: Mapping[str, Any]) -> RegisterLayout:
-    return RegisterLayout(tuple(doc["names"]), tuple(int(d) for d in doc["dims"]))
+    return RegisterLayout(tuple(_items(doc, "names", str)), tuple(_items(doc, "dims", int)))
 
 
 def channel_document(channel: KrausChannel | EbChannel) -> dict[str, Any]:
@@ -136,7 +155,7 @@ def channel_document(channel: KrausChannel | EbChannel) -> dict[str, Any]:
 
 def channel_from_document(doc: Mapping[str, Any]) -> KrausChannel | EbChannel:
     try:
-        form = doc["form"]
+        form = _field(doc, "form", str)
         in_layout = _decode_layout(doc["in"])
         out_layout = _decode_layout(doc["out"])
         if form == "kraus":
@@ -144,18 +163,10 @@ def channel_from_document(doc: Mapping[str, Any]) -> KrausChannel | EbChannel:
             ops = tuple(_decode_array(p, shape) for p in doc["ops"])
             return KrausChannel(in_layout, out_layout, ops)
         if form == "eb":
-            d_in = in_layout.total_dim
-            povm = Povm(
-                tuple(
-                    MeasurementOperator(in_layout, _decode_array(p, (d_in, d_in)))
-                    for p in doc["povm"]
-                )
-            )
-            preps = tuple(
-                PureState(out_layout, _decode_array(p, (out_layout.total_dim,)))
-                for p in doc["preps"]
-            )
-            return EbChannel(povm, preps)
+            square, vector = (in_layout.total_dim,) * 2, (out_layout.total_dim,)
+            effects = [MeasurementOperator(in_layout, _decode_array(p, square)) for p in doc["povm"]]
+            preps = [PureState(out_layout, _decode_array(p, vector)) for p in doc["preps"]]
+            return EbChannel(Povm(tuple(effects)), tuple(preps))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed channel document: {exc}") from exc
     raise ValidationError(f"unknown channel form {form!r}")
@@ -177,8 +188,9 @@ def protocol_document(spec: ProtocolSpec) -> dict[str, Any]:
     }
 
 
-def protocol_from_document(doc: Mapping[str, Any]) -> ProtocolSpec:
+def protocol_from_document(doc: Any) -> ProtocolSpec:
     try:
+        doc = _object(doc, "protocol document")
         if doc.get("kind") != "protocol":
             raise ValidationError(f"expected a protocol document, got kind={doc.get('kind')!r}")
         m_layout = _decode_layout(doc["m"])
@@ -189,14 +201,14 @@ def protocol_from_document(doc: Mapping[str, Any]) -> ProtocolSpec:
         return ProtocolSpec(
             m_layout=m_layout,
             v_layout=v_layout,
-            rounds=int(doc["rounds"]),
+            rounds=_field(doc, "rounds", int),
             v1=None if v1_doc is None else channel_from_document(v1_doc),
             v2=channel_from_document(doc["v2"]),
             accept=MeasurementOperator(joint, _decode_array(doc["accept"], (d, d))),
-            classical_rounds=frozenset(int(r) for r in doc["classical_rounds"]),
-            public_coin=bool(doc["public_coin"]),
-            coin_label=doc["coin_label"],
-            saved_label=doc["saved_label"],
+            classical_rounds=frozenset(_items(doc, "classical_rounds", int)),
+            public_coin=_field(doc, "public_coin", bool),
+            coin_label=_field(doc, "coin_label", str, optional=True),
+            saved_label=_field(doc, "saved_label", str, optional=True),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed protocol document: {exc}") from exc
@@ -247,7 +259,7 @@ def strategy_document(prover: ProverStrategy) -> dict[str, Any]:
 
 def strategy_from_document(doc: Mapping[str, Any]) -> ProverStrategy:
     try:
-        kind = doc["kind"]
+        kind = _field(doc, "kind", str)
         if kind == "entangled":
             return EntangledStrategy(
                 workspace=_decode_layout(doc["workspace"]),
@@ -257,7 +269,7 @@ def strategy_from_document(doc: Mapping[str, Any]) -> ProverStrategy:
         if kind == "raw":
             return RawUnentangledStrategy(
                 workspace=_decode_layout(doc["workspace"]),
-                eb_labels=tuple(doc["eb_labels"]),
+                eb_labels=tuple(_items(doc, "eb_labels", str)),
                 mix1=channel_from_document(doc["mix1"]),
                 emit1=channel_from_document(doc["emit1"]),
                 mix2=channel_from_document(doc["mix2"]),
@@ -272,7 +284,10 @@ def strategy_from_document(doc: Mapping[str, Any]) -> ProverStrategy:
             first = doc["first_message"]
             return ClassicalResponseStrategy(
                 first_message=None if first is None else _state_from_document(first),
-                responses={str(y): str(z) for y, z in doc["responses"].items()},
+                responses={
+                    y: _convert("response", str, z)
+                    for y, z in _object(doc["responses"], "responses").items()
+                },
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed strategy document: {exc}") from exc
@@ -331,7 +346,7 @@ class ExperimentConfig:
         merged: dict[str, Any] = {}
         for name, (kind, default) in table.items():
             value = self.params.get(name, default)
-            merged[name] = default if value is None else _convert(name, kind, value)
+            merged[name] = default if value is None else _convert(f"parameter {name}", kind, value)
         unknown = set(self.params) - set(table)
         if unknown:
             raise ValidationError(f"unknown parameters for {self.command}: {sorted(unknown)}")
@@ -342,18 +357,25 @@ class ExperimentConfig:
 
 
 def _convert(name: str, kind: type, value: Any) -> Any:
-    """``value`` as a ``kind`` (int, float or str) parameter.  Bools are not
-    numbers here, an int stands for a float, and floats must be finite."""
-    if kind is str:
-        if not isinstance(value, str):
-            raise ValidationError(f"parameter {name} must be a string, got {value!r}")
+    """``value`` as a ``kind`` (int, float, bool or str) value named ``name``.
+    Bools are not numbers here, an int stands for a float, and floats must
+    be finite."""
+    if kind in (str, bool):
+        if not isinstance(value, kind):
+            noun = "a string" if kind is str else "true or false"
+            raise ValidationError(f"{name} must be {noun}, got {value!r}")
         return value
     accepted = (int, float) if kind is float else int
     if isinstance(value, bool) or not isinstance(value, accepted):
         noun = "a number" if kind is float else "an integer"
-        raise ValidationError(f"parameter {name} must be {noun}, got {value!r}")
-    if kind is float and not math.isfinite(value):
-        raise ValidationError(f"parameter {name} must be finite, got {value!r}")
+        raise ValidationError(f"{name} must be {noun}, got {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValidationError(f"{name} is too large for a float") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
     return kind(value)
 
 
@@ -381,6 +403,8 @@ def _canonicalize_instance(spec: ProtocolSpec, prover: RawUnentangledStrategy):
 
 
 def _run_canonicalize(params: Mapping[str, Any]):
+    if params["trials"] < 1:
+        raise ValidationError(f"trials must be >= 1, got {params['trials']}")
     if (params["spec"] is None) != (params["prover"] is None):
         raise ValidationError("pass both of --spec and --prover, or neither")
     rows = []
@@ -410,6 +434,8 @@ def _run_canonicalize(params: Mapping[str, Any]):
 
 
 def _run_eb_check(params: Mapping[str, Any]):
+    if params["count"] < 0:
+        raise ValidationError(f"count must be >= 0, got {params['count']}")
     rows = []
     if params["channel"] is not None:
         channel = channel_from_document(_read_document(params["channel"]))
@@ -567,7 +593,7 @@ def _read_document(path: str) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ValidationError(f"{path} is not a valid document: {exc}") from exc
 
 

@@ -33,7 +33,13 @@ from .errors import (
     ResolutionError,
     ValidationError,
 )
-from .protocol import MeasurementFamily, ProtocolSpec, joint_response_operators
+from .protocol import (
+    VALUE_RANGE_TOL,
+    MeasurementFamily,
+    ProtocolSpec,
+    checked_probability,
+    joint_response_operators,
+)
 from .qmath import PureState, dagger, hermitian_eig
 from .utils import derived_rng
 
@@ -52,7 +58,6 @@ SEESAW_RESTART_BUDGET = 2**15
 SUBSAMPLE_TRIAL_BUDGET = 5 * 10**4
 SUBSAMPLE_DRAW_BUDGET = 10**7
 ITERATE_MONOTONE_TOL = 1e-12
-VALUE_RANGE_TOL = 1e-9
 RESPONSE_ALPHABET_CAP = 8
 # Elements (16 MB of complex128) of the largest intermediate one stack of
 # response maps, weight rows or see-saw restarts may have; longer stacks are
@@ -90,7 +95,7 @@ class ValueReport:
     net_error: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _unit_value(self.value))
+        object.__setattr__(self, "value", checked_probability(self.value))
         for run in self.iterates:
             for prev, cur in zip(run, run[1:]):
                 if cur < prev - ITERATE_MONOTONE_TOL:
@@ -99,13 +104,6 @@ class ValueReport:
                     )
         if self.net_error is not None and self.net_error < 0:
             raise NumericsError(f"negative net error {self.net_error!r}")
-
-
-def _unit_value(value: float) -> float:
-    """A prover value clamped into [0, 1]; more than VALUE_RANGE_TOL outside is a fault."""
-    if not -VALUE_RANGE_TOL <= value <= 1 + VALUE_RANGE_TOL:
-        raise NumericsError(f"value {value!r} escaped [0, 1]")
-    return min(max(value, 0.0), 1.0)
 
 
 class SubsampleReport(NamedTuple):
@@ -731,7 +729,7 @@ def subsampling_experiment(
         draws = rng.integers(0, n_y, size=r)
         weights[trial + 1] = np.bincount(draws, minlength=n_y) / r
     values, _, _ = _exact_values(fam, weights)
-    lhs, *rhs_values = (_unit_value(v) for v in values.tolist())
+    lhs, *rhs_values = (checked_probability(v) for v in values.tolist())
     deviations = tuple(abs(lhs - rhs) for rhs in rhs_values)
     failures = sum(1 for d in deviations if d > eps)
     return SubsampleReport(

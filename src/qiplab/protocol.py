@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -65,6 +65,8 @@ from .qmath import (
 
 BRANCH_PROBABILITY_TOL = 1e-12
 CONDITIONING_TOL = 1e-12
+# How far outside [0, 1] a computed probability may land before it is a fault.
+VALUE_RANGE_TOL = 1e-9
 # Largest total dimension D the simulator accepts.  Its states and scratch
 # arrays are dense D x D complex matrices, so memory grows as D^2 and time up
 # to D^3: a raw run plus its canonicalization at D = 1024 takes about 3 s and
@@ -175,6 +177,7 @@ class ProtocolSpec:
         for name, ch in (("v1", self.v1), ("v2", self.v2)):
             if ch is None:
                 continue
+            _kraus_of(ch, joint, name)
             if ch.in_layout != joint or ch.out_layout != joint:
                 raise LayoutError(f"{name} must act on the (M, V) layout {joint.names}")
         if self.accept.layout != joint:
@@ -261,16 +264,11 @@ def _check_simulator_dimension(layout: RegisterLayout):
         )
 
 
-def _geometry(spec: ProtocolSpec, workspace: RegisterLayout | None):
-    if workspace is not None:
-        full = workspace.concat(spec.m_layout).concat(spec.v_layout)
-    else:
-        full = spec.joint_layout()
+def _geometry(spec: ProtocolSpec):
+    """The verifier's registers (M, V), checked against the budget, and their axes."""
+    full = spec.joint_layout()
     _check_simulator_dimension(full)
-    m_axes = full.axes(spec.m_layout.names)
-    v_axes = full.axes(spec.v_layout.names)
-    p_axes = full.axes(workspace.names) if workspace is not None else ()
-    return full, p_axes, m_axes, v_axes
+    return full, full.axes(spec.m_layout.names), full.axes(spec.v_layout.names)
 
 
 def _zero_state(dim: int) -> np.ndarray:
@@ -295,88 +293,113 @@ def _closing_effect(spec: ProtocolSpec) -> np.ndarray:
     return adjoint_kraus_array(spec.accept.entries, spec.v2.kraus_ops)
 
 
-def _checked_probability(p: float, what: str) -> float:
-    if p < -1e-9 or p > 1 + 1e-9:
+def checked_probability(p: float, what: str = "value") -> float:
+    """`p` clamped into [0, 1]; more than VALUE_RANGE_TOL outside (or NaN) is a fault."""
+    if not -VALUE_RANGE_TOL <= p <= 1 + VALUE_RANGE_TOL:
         raise NumericsError(f"{what} {p!r} escaped [0, 1]")
     return min(max(p, 0.0), 1.0)
 
 
-def _check_channel_dims(ch: KrausChannel, layout: RegisterLayout, what: str):
-    if ch.in_layout.dims != layout.dims or ch.out_layout.dims != layout.dims:
+def _kraus_of(channel: KrausChannel, layout: RegisterLayout, what: str):
+    if not isinstance(channel, KrausChannel):
+        raise ValidationError(f"{what} must be a Kraus channel, got {type(channel).__name__}")
+    if channel.in_layout.dims != layout.dims or channel.out_layout.dims != layout.dims:
         raise LayoutError(f"{what} does not act on layout dims {layout.dims}")
+    return channel.kraus_ops
 
 
-def _check_prover(spec: ProtocolSpec, prover: ProverStrategy):
-    """Raise if `prover` does not fit `spec`; called before any state exists."""
+def _emission(channel: EbChannel, reads: RegisterLayout, writes: RegisterLayout, what: str):
+    """Effects and prepared vectors of `channel`, which reads `reads` = (S, M)
+    and writes `writes` = M; the vectors put |0> on S."""
+    if not isinstance(channel, EbChannel):
+        raise ValidationError(f"{what} must be measure-and-prepare, got {type(channel).__name__}")
+    dims = (channel.in_layout.dims, channel.out_layout.dims)
+    if dims != (reads.dims, writes.dims):
+        raise LayoutError(f"{what} maps dims {dims[0]}->{dims[1]}, not {reads.dims}->{writes.dims}")
+    zero = np.eye(reads.total_dim // writes.total_dim)[0]
+    effects = [e.entries for e in channel.povm.elements]
+    return effects, [np.kron(zero, p.amplitudes) for p in channel.preps]
+
+
+class _Move(NamedTuple):
+    """Kraus operators on kraus_axes (P, M), then an emission: the effects
+    measured and the vectors prepared on emit_axes (S, M).  Either may be empty."""
+
+    kraus: tuple[np.ndarray, ...]
+    kraus_axes: tuple[int, ...]
+    effects: list[np.ndarray]
+    preps: list[np.ndarray]
+    emit_axes: tuple[int, ...]
+
+
+def _apply_move(rho: np.ndarray, dims, move: _Move) -> np.ndarray:
+    if move.kraus:
+        rho = apply_kraus_array(rho, dims, move.kraus, move.kraus_axes)
+    if move.effects:
+        blocks = measure_array(rho, dims, move.effects, move.emit_axes)
+        rho = prepare_array(blocks, dims, move.preps, move.emit_axes)
+    return rho
+
+
+def _prover_moves(spec: ProtocolSpec, prover: ProverStrategy, fold: bool = False):
+    """The simulator's registers and the prover's opening and response moves.
+
+    Every form becomes the same two steps per move.  The entangled form has
+    Kraus operators only; the raw form mixes (P, M), then emits from (S, M),
+    S its eb_labels, returned to |0>; the canonical and classical forms emit
+    from M only, the opening measuring I and preparing the first message.
+    A two-round protocol has no opening (None).  All is checked before any
+    state exists, the workspace names and the budget before any channel: on
+    (P, M, V), or (P, M) with `fold` (canonicalize_prover, raw form only).
+    """
+    if fold and not isinstance(prover, RawUnentangledStrategy):
+        raise ContractError("canonicalize_prover expects the raw unentangled form")
+    if fold and spec.rounds != 3:
+        raise ValidationError("canonical form is defined for three-round protocols")
+    m_layout = spec.m_layout
+    pm = m_layout
+    if isinstance(prover, (EntangledStrategy, RawUnentangledStrategy)):
+        clash = set(prover.workspace.names) & set(m_layout.names + spec.v_layout.names)
+        if clash:
+            raise LayoutError(f"workspace names {sorted(clash)} clash with the protocol layout")
+        pm = prover.workspace.concat(m_layout)
+    layout = pm if fold else pm.concat(spec.v_layout)
+    _check_simulator_dimension(layout)
     if spec.rounds == 2 and not isinstance(prover, ClassicalResponseStrategy):
         raise ContractError("two-round protocols support classical-response provers only")
-    m_dims = spec.m_layout.dims
+    pm_axes = layout.axes(pm.names)
     if isinstance(prover, EntangledStrategy):
-        pm = prover.workspace.concat(spec.m_layout)
-        _check_channel_dims(prover.first, pm, "prover first channel")
-        _check_channel_dims(prover.respond, pm, "prover respond channel")
-    elif isinstance(prover, RawUnentangledStrategy):
-        pm = prover.workspace.concat(spec.m_layout)
-        _check_channel_dims(prover.mix1, pm, "prover mix1 channel")
-        _check_channel_dims(prover.mix2, pm, "prover mix2 channel")
-        s_m = prover.workspace.subset(prover.eb_labels).concat(spec.m_layout)
-        for emit in (prover.emit1, prover.emit2):
-            if emit.in_layout.dims != s_m.dims or emit.out_layout.dims != m_dims:
-                raise LayoutError(
-                    f"emission channel dims {emit.in_layout.dims}->{emit.out_layout.dims} "
-                    f"do not match (S, M) = {s_m.dims}"
-                )
-    elif isinstance(prover, (CanonicalStrategy, ClassicalResponseStrategy)):
-        psi = prover.first_message
-        if spec.rounds == 2 and psi is not None:
-            raise ValidationError("two-round protocols have no prover opening message")
-        if spec.rounds == 3 and psi is None:
-            raise ValidationError("three-round protocols need a first message")
-        if psi is not None and psi.layout.dims != m_dims:
-            raise LayoutError("first message does not fit the message register")
-        if isinstance(prover, CanonicalStrategy):
-            if prover.respond.in_layout.dims != m_dims or prover.respond.out_layout.dims != m_dims:
-                raise LayoutError("canonical response channel must map M to M")
-        elif spec.challenge_round not in spec.classical_rounds:
-            raise ContractError("a classical-response prover needs a classical challenge round")
-        else:
-            classical_response_channel(spec.m_layout, prover.responses)
-    else:
-        raise ContractError(f"unknown prover strategy {type(prover).__name__}")
-
-
-def _measure_prepare(rho, dims, channel: EbChannel, out_axes, reset_axes):
-    """Apply `channel` reading (reset_axes, out_axes) and writing out_axes.
-
-    The POVM is measured on the registers of both, the prepared states are
-    written on out_axes, and the registers of reset_axes return to |0>.
-    """
-    axes = tuple(reset_axes) + tuple(out_axes)
-    zero = np.eye(math.prod(dims[a] for a in reset_axes))[0]
-    effects = [e.entries for e in channel.povm.elements]
-    preps = [np.kron(zero, p.amplitudes) for p in channel.preps]
-    return prepare_array(measure_array(rho, dims, effects, axes), dims, preps, axes)
-
-
-def _prover_move(spec, prover, rho, dims, p_axes, m_axes, opening):
-    """The prover's opening move, or its response when opening is False."""
-    pm_axes = tuple(p_axes) + tuple(m_axes)
-    if isinstance(prover, EntangledStrategy):
-        channel = prover.first if opening else prover.respond
-        return apply_kraus_array(rho, dims, channel.kraus_ops, pm_axes)
-    reset_axes = ()
+        first = _kraus_of(prover.first, pm, "prover first channel")
+        respond = _kraus_of(prover.respond, pm, "prover respond channel")
+        return layout, _Move(first, pm_axes, [], [], ()), _Move(respond, pm_axes, [], [], ())
     if isinstance(prover, RawUnentangledStrategy):
-        mix, channel = (prover.mix1, prover.emit1) if opening else (prover.mix2, prover.emit2)
-        rho = apply_kraus_array(rho, dims, mix.kraus_ops, pm_axes)
-        ws = prover.workspace
-        reset_axes = tuple(p_axes[ws.axis(n)] for n in ws.names if n in prover.eb_labels)
-    elif opening:
-        channel = EbChannel.constant(spec.m_layout, prover.first_message)
-    elif isinstance(prover, CanonicalStrategy):
-        channel = prover.respond
+        sm = prover.workspace.subset(prover.eb_labels).concat(m_layout)
+        sm_axes = layout.axes(sm.names)
+        mix1 = _kraus_of(prover.mix1, pm, "prover mix1 channel")
+        mix2 = _kraus_of(prover.mix2, pm, "prover mix2 channel")
+        emit1 = _emission(prover.emit1, sm, m_layout, "prover emit1 channel")
+        emit2 = _emission(prover.emit2, sm, m_layout, "prover emit2 channel")
+        return layout, _Move(mix1, pm_axes, *emit1, sm_axes), _Move(mix2, pm_axes, *emit2, sm_axes)
+    if not isinstance(prover, (CanonicalStrategy, ClassicalResponseStrategy)):
+        raise ContractError(f"unknown prover strategy {type(prover).__name__}")
+    psi = prover.first_message
+    if spec.rounds == 2 and psi is not None:
+        raise ValidationError("two-round protocols have no prover opening message")
+    if spec.rounds == 3 and psi is None:
+        raise ValidationError("three-round protocols need a first message")
+    if psi is not None and psi.layout.dims != m_layout.dims:
+        raise LayoutError("first message does not fit the message register")
+    if isinstance(prover, CanonicalStrategy):
+        respond = prover.respond
+    elif spec.challenge_round not in spec.classical_rounds:
+        raise ContractError("a classical-response prover needs a classical challenge round")
     else:
-        channel = classical_response_channel(spec.m_layout, prover.responses)
-    return _measure_prepare(rho, dims, channel, m_axes, reset_axes)
+        respond = classical_response_channel(m_layout, prover.responses)
+    response = _Move((), (), *_emission(respond, m_layout, m_layout, "response channel"), pm_axes)
+    if psi is None:
+        return layout, None, response
+    opening = _Move((), (), [np.eye(m_layout.total_dim)], [psi.amplitudes], pm_axes)
+    return layout, opening, response
 
 
 def _challenge_move(spec, rho, dims, m_axes, v_axes, full):
@@ -400,6 +423,13 @@ def _challenge_move(spec, rho, dims, m_axes, v_axes, full):
     return rho
 
 
+def _opening_blocks(spec: ProtocolSpec) -> np.ndarray:
+    """The block on V of each challenge y of a two-round protocol's opening move."""
+    full, m_axes, v_axes = _geometry(spec)
+    rho = _challenge_move(spec, _zero_state(full.total_dim), full.dims, m_axes, v_axes, full)
+    return measure_array(rho, full.dims, _basis_effects(spec.m_layout.total_dim), m_axes)
+
+
 def classical_response_channel(layout: RegisterLayout, responses: Mapping[str, str]) -> EbChannel:
     """Measure M in the computational basis, emit the mapped basis state."""
     labels = layout.basis_labels()
@@ -414,33 +444,22 @@ def classical_response_channel(layout: RegisterLayout, responses: Mapping[str, s
     return EbChannel(povm, preps)
 
 
-def _workspace_of(spec, prover) -> RegisterLayout | None:
-    if isinstance(prover, (EntangledStrategy, RawUnentangledStrategy)):
-        ws = prover.workspace
-        clash = set(ws.names) & set(spec.m_layout.names + spec.v_layout.names)
-        if clash:
-            raise LayoutError(f"workspace names {sorted(clash)} clash with the protocol layout")
-        return ws
-    return None
-
-
 def run_interaction(spec: ProtocolSpec, prover: ProverStrategy) -> float:
     """Simulate the interaction and return the acceptance probability."""
-    workspace = _workspace_of(spec, prover)
-    full, p_axes, m_axes, v_axes = _geometry(spec, workspace)
-    _check_prover(spec, prover)
+    full, opening, response = _prover_moves(spec, prover)
     dims = full.dims
+    m_axes, v_axes = full.axes(spec.m_layout.names), full.axes(spec.v_layout.names)
     rho = _zero_state(full.total_dim)
-    if spec.rounds == 3:
-        rho = _prover_move(spec, prover, rho, dims, p_axes, m_axes, opening=True)
+    if opening is not None:
+        rho = _apply_move(rho, dims, opening)
         if 1 in spec.classical_rounds:
             rho = dephase_axes(rho, dims, m_axes)
     rho = _challenge_move(spec, rho, dims, m_axes, v_axes, full)
-    rho = _prover_move(spec, prover, rho, dims, p_axes, m_axes, opening=False)
+    rho = _apply_move(rho, dims, response)
     if spec.response_round in spec.classical_rounds:
         rho = dephase_axes(rho, dims, m_axes)
-    block = measure_array(rho, dims, [_closing_effect(spec)], tuple(m_axes) + tuple(v_axes))[0]
-    return _checked_probability(float(np.trace(block).real), "acceptance probability")
+    block = measure_array(rho, dims, [_closing_effect(spec)], m_axes + v_axes)[0]
+    return checked_probability(float(np.trace(block).real), "acceptance probability")
 
 
 def acceptance_probability(spec: ProtocolSpec, prover: ProverStrategy) -> float:
@@ -451,10 +470,7 @@ def verifier_message_distribution(spec: ProtocolSpec) -> dict[str, float]:
     """Challenge distribution of a two-round protocol's opening move."""
     if spec.rounds != 2:
         raise ValidationError("message distribution is defined for two-round protocols")
-    full, _, m_axes, v_axes = _geometry(spec, None)
-    dims = full.dims
-    rho = _challenge_move(spec, _zero_state(full.total_dim), dims, m_axes, v_axes, full)
-    blocks = measure_array(rho, dims, _basis_effects(spec.m_layout.total_dim), m_axes)
+    blocks = _opening_blocks(spec)
     return {
         label: float(np.trace(block).real)
         for label, block in zip(spec.m_layout.basis_labels(), blocks)
@@ -472,19 +488,15 @@ def postselected_acceptance(spec: ProtocolSpec, y: str, z: str) -> float:
         raise ValidationError(
             "postselection needs a two-round protocol with both rounds classical"
         )
-    full, _, m_axes, v_axes = _geometry(spec, None)
-    dims = full.dims
-    d_m = spec.m_layout.total_dim
-    rho = _challenge_move(spec, _zero_state(full.total_dim), dims, m_axes, v_axes, full)
-    blocks = measure_array(rho, dims, _basis_effects(d_m), m_axes)
-    block = blocks[spec.m_layout.basis_index(y)]
+    full, m_axes, _ = _geometry(spec)
+    block = _opening_blocks(spec)[spec.m_layout.basis_index(y)]
     p_y = float(np.trace(block).real)
     if p_y <= CONDITIONING_TOL:
         raise ConditioningError(f"challenge {y!r} has probability {p_y!r}; cannot condition")
-    z_idx = spec.m_layout.basis_index(z)
-    e_z = measure_array(_closing_effect(spec), dims, _basis_effects(d_m)[z_idx, None], m_axes)[0]
+    z_effect = _basis_effects(spec.m_layout.total_dim)[spec.m_layout.basis_index(z), None]
+    e_z = measure_array(_closing_effect(spec), full.dims, z_effect, m_axes)[0]
     p = float(np.trace(e_z @ block).real) / p_y
-    return _checked_probability(p, "conditional acceptance")
+    return checked_probability(p, "conditional acceptance")
 
 
 # ---------------------------------------------------------------------------
@@ -502,28 +514,19 @@ def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStr
     emitted states.  The branch with the best conditional acceptance wins
     (ties break toward the lowest index).
     """
-    if not isinstance(raw, RawUnentangledStrategy):
-        raise ContractError("canonicalize_prover expects the raw unentangled form")
-    if spec.rounds != 3:
-        raise ValidationError("canonical form is defined for three-round protocols")
-    workspace = _workspace_of(spec, raw)
-    pm = workspace.concat(spec.m_layout)
-    _check_simulator_dimension(pm)
-    _check_prover(spec, raw)
+    pm, opening, response = _prover_moves(spec, raw, fold=True)
     dims = pm.dims
-    n_p = len(workspace.names)
-    m_axes = tuple(range(n_p, len(dims)))
-    s_axes = tuple(workspace.axis(n) for n in workspace.names if n in raw.eb_labels)
-    r_axes = tuple(workspace.axis(n) for n in workspace.names if n not in raw.eb_labels)
+    sm_axes = opening.emit_axes
+    s_axes = sm_axes[: len(sm_axes) - len(spec.m_layout.names)]
+    r_axes = tuple(a for a in opening.kraus_axes if a not in sm_axes)
     zero_s = _zero_state(math.prod(dims[a] for a in s_axes))
 
-    rho1 = apply_kraus_array(_zero_state(pm.total_dim), dims, raw.mix1.kraus_ops, tuple(range(len(dims))))
+    rho1 = apply_kraus_array(_zero_state(pm.total_dim), dims, opening.kraus, opening.kraus_axes)
     # the residual workspace state of each branch, unnormalized, on R
-    effects = [e.entries for e in raw.emit1.povm.elements]
-    blocks = measure_array(rho1, dims, effects, s_axes + m_axes)
+    blocks = measure_array(rho1, dims, opening.effects, sm_axes)
     pulled = [
-        adjoint_kraus_array(embed_operator(f.entries, dims, s_axes + m_axes), raw.mix2.kraus_ops)
-        for f in raw.emit2.povm.elements
+        adjoint_kraus_array(embed_operator(f, dims, sm_axes), response.kraus)
+        for f in response.effects
     ]
 
     best: tuple[float, CanonicalStrategy] | None = None
@@ -565,7 +568,7 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
         raise ValidationError("family extraction needs a classical challenge round")
     if spec.response_round not in spec.classical_rounds:
         raise ValidationError("family extraction needs a classical response round")
-    full, _, m_axes, v_axes = _geometry(spec, None)
+    full, m_axes, v_axes = _geometry(spec)
     dims = full.dims
     d_m = spec.m_layout.total_dim
     labels = spec.m_layout.basis_labels()
@@ -592,6 +595,40 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
     return MeasurementFamily(labels, labels, ops)
 
 
+def public_coin_protocol(family: MeasurementFamily) -> ProtocolSpec:
+    """The public-coin protocol whose scoring family is `family`.
+
+    The verifier stashes the prover's opening message in R, sends a uniform
+    coin x, recorded in C, receives an answer a on M, and accepts with the
+    effect F_{x,a} on the stash.  v2 is the identity and the flag is
+    sum_{x,a} |a><a|_M (x) F_{x,a} (x) |x><x|_C.  Coins and answers are the
+    basis labels of the family's layout, which becomes M.
+    """
+    m_layout = family.layout
+    labels = m_layout.basis_labels()
+    if family.challenges != labels or family.responses != labels:
+        raise ValidationError(f"family must be indexed by the basis labels {labels} of its layout")
+    d = m_layout.total_dim
+    v_layout = RegisterLayout(("R", "C"), (d, d))
+    joint = m_layout.concat(v_layout)
+    projectors = _basis_effects(d)
+    flag = np.zeros((joint.total_dim,) * 2, dtype=np.complex128)
+    for x, coin in zip(labels, projectors):
+        for a, answer in zip(labels, projectors):
+            flag += kron_all([answer, family.op(x, a).entries, coin])
+    return ProtocolSpec(
+        m_layout=m_layout,
+        v_layout=v_layout,
+        rounds=3,
+        v2=KrausChannel.identity(joint),
+        accept=MeasurementOperator(joint, flag),
+        classical_rounds=frozenset({2, 3}),
+        public_coin=True,
+        coin_label="C",
+        saved_label="R",
+    )
+
+
 def chsh_protocol() -> tuple[ProtocolSpec, MeasurementFamily]:
     """Public-coin qubit protocol testing the CHSH condition, plus its family.
 
@@ -602,38 +639,12 @@ def chsh_protocol() -> tuple[ProtocolSpec, MeasurementFamily]:
     (|a><a| + H|a xor x><a xor x|H) / 2 on the stashed qubit.
     """
     m_layout = RegisterLayout(("M",), (2,))
-    v_layout = RegisterLayout(("R", "C"), (2, 2))
-    hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    family_ops = {}
-    for x in range(2):
-        for a in range(2):
-            proj_a = np.zeros((2, 2))
-            proj_a[a, a] = 1.0
-            flip = np.zeros((2, 2))
-            flip[a ^ x, a ^ x] = 1.0
-            m_xa = (proj_a + hadamard @ flip @ hadamard) / 2
-            family_ops[(str(x), str(a))] = MeasurementOperator(m_layout, m_xa)
+    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    proj = _basis_effects(2)
+    family_ops = {
+        (str(x), str(a)): MeasurementOperator(m_layout, (proj[a] + h @ proj[a ^ x] @ h) / 2)
+        for x in range(2)
+        for a in range(2)
+    }
     family = MeasurementFamily(("0", "1"), ("0", "1"), family_ops)
-    joint = m_layout.concat(v_layout)
-    flag = np.zeros((8, 8), dtype=np.complex128)
-    for x in range(2):
-        for a in range(2):
-            proj_a = np.zeros((2, 2))
-            proj_a[a, a] = 1.0
-            proj_x = np.zeros((2, 2))
-            proj_x[x, x] = 1.0
-            flag += kron_all([proj_a, family_ops[(str(x), str(a))].entries, proj_x])
-    return (
-        ProtocolSpec(
-            m_layout=m_layout,
-            v_layout=v_layout,
-            rounds=3,
-            v2=KrausChannel.identity(joint),
-            accept=MeasurementOperator(joint, flag),
-            classical_rounds=frozenset({2, 3}),
-            public_coin=True,
-            coin_label="C",
-            saved_label="R",
-        ),
-        family,
-    )
+    return public_coin_protocol(family), family

@@ -161,9 +161,6 @@ class PureState:
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.layout, self.projector())
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

@@ -6,6 +6,8 @@ can reproduce instances exactly from (seed, index) streams.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .channels import EbChannel, KrausChannel
@@ -15,6 +17,7 @@ from .protocol import (
     MeasurementFamily,
     ProtocolSpec,
     RawUnentangledStrategy,
+    public_coin_protocol,
 )
 from .qmath import (
     DensityMatrix,
@@ -24,7 +27,6 @@ from .qmath import (
     RegisterLayout,
     dagger,
     hermitian_eig,
-    kron_all,
 )
 
 
@@ -151,19 +153,9 @@ def random_verifier_spec(
 
 
 def random_qcip2_spec(rng: np.random.Generator, m_dim: int = 2, v_dim: int = 2) -> ProtocolSpec:
-    """Random two-round verifier with classical challenge and response."""
-    m_layout = RegisterLayout(("M",), (m_dim,))
-    v_layout = RegisterLayout(("V",), (v_dim,))
-    joint = m_layout.concat(v_layout)
-    return ProtocolSpec(
-        m_layout=m_layout,
-        v_layout=v_layout,
-        rounds=2,
-        v1=random_kraus_channel(rng, joint, n_kraus=2),
-        v2=random_kraus_channel(rng, joint, n_kraus=2),
-        accept=random_effect(rng, joint),
-        classical_rounds=frozenset({1, 2}),
-    )
+    """Random two-round verifier with classical challenge and response: the
+    draws of random_verifier_spec, cut to two rounds."""
+    return dataclasses.replace(random_verifier_spec(rng, m_dim, v_dim, (1, 2)), rounds=2)
 
 
 def random_raw_prover(
@@ -219,28 +211,5 @@ def random_public_coin_spec(
 
     Returns the protocol together with its challenge-conditioned scoring family.
     """
-    m_layout = RegisterLayout(("M",), (2,))
-    v_layout = RegisterLayout(("R", "C"), (2, 2))
-    joint = m_layout.concat(v_layout)
-    ops = {}
-    flag = np.zeros((8, 8), dtype=np.complex128)
-    eye = np.eye(2)
-    for x in range(2):
-        for a in range(2):
-            effect = random_effect(rng, m_layout)
-            ops[(str(x), str(a))] = effect
-            proj_a = np.outer(eye[a], eye[a])
-            proj_x = np.outer(eye[x], eye[x])
-            flag += kron_all([proj_a, effect.entries, proj_x])
-    spec = ProtocolSpec(
-        m_layout=m_layout,
-        v_layout=v_layout,
-        rounds=3,
-        v2=KrausChannel.identity(joint),
-        accept=MeasurementOperator(joint, flag),
-        classical_rounds=frozenset({2, 3}),
-        public_coin=True,
-        coin_label="C",
-        saved_label="R",
-    )
-    return spec, MeasurementFamily(("0", "1"), ("0", "1"), ops)
+    family = random_measurement_family(rng, RegisterLayout(("M",), (2,)))
+    return public_coin_protocol(family), family

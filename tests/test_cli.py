@@ -246,6 +246,80 @@ def test_usage_errors_exit_with_status_two(tmp_path, run_cli):
     cfg.write_text('{"command": "amplify"}')
     mismatch = run_cli(["chsh-gap", "--config", str(cfg), "--csv", "x.csv"], cwd=tmp_path)
     assert mismatch.returncode == 2, mismatch.stderr.decode()
+    # an integer too large for a float, given for a float parameter
+    cfg.write_text('{"p": ' + "1" * 400 + "}")
+    huge = run_cli(["amplify", "--config", str(cfg), "--csv", "x.csv"], cwd=tmp_path)
+    assert huge.returncode == 2, huge.stderr.decode()
+    assert b"too large for a float" in huge.stderr
+    # an integer past the interpreter's 4300-digit conversion limit
+    cfg.write_text('{"k": ' + "1" * 5000 + "}")
+    endless = run_cli(["amplify", "--config", str(cfg), "--csv", "x.csv"], cwd=tmp_path)
+    assert endless.returncode == 2, endless.stderr.decode()
+    # counts below their range: no trial to take a minimum over, or a negative batch
+    for args in (
+        ["canonicalize", "--trials", "0"],
+        ["canonicalize", "--trials", "-3"],
+        ["eb-check", "--count", "-2"],
+    ):
+        refused = run_cli([*args, "--csv", "x.csv"], cwd=tmp_path)
+        assert refused.returncode == 2, refused.stderr.decode()
+        assert b"must be >=" in refused.stderr
+
+
+def _malformed(case):
+    """(protocol document, strategy document) of one malformed instance."""
+    rng = derived_rng(9, "cli-doc")
+    spec = random_verifier_spec(rng)
+    raw = random_raw_prover(rng, spec)
+    spec_doc = json.loads(dumps_document(protocol_document(spec)))
+    prover_doc = json.loads(dumps_document(strategy_document(raw)))
+    if case == "document-not-an-object":
+        spec_doc = [1, 2]
+    elif case == "responses-not-an-object":
+        classical = random_classical_response(rng, spec)
+        prover_doc = json.loads(dumps_document(strategy_document(classical)))
+        prover_doc["responses"] = [["0", "1"], ["1", "0"]]
+    elif case == "mix-of-the-wrong-form":
+        # measure-and-prepare where a Kraus channel belongs, on the right registers
+        eb_mix = random_eb_channel(rng, raw.workspace.concat(spec.m_layout))
+        prover_doc["mix1"] = channel_document(eb_mix)
+    elif case == "flag-as-a-string":
+        # the string "false" is truthy: read with bool() it kept the public coin
+        public, _ = random_public_coin_spec(derived_rng(9, "cli-public"))
+        spec_doc = json.loads(dumps_document(protocol_document(public)))
+        spec_doc["public_coin"] = "false"
+        prover_doc = json.loads(dumps_document(strategy_document(random_raw_prover(rng, public))))
+    elif case == "fractional-rounds":
+        spec_doc["rounds"] = 3.7
+    elif case == "fractional-dims":
+        spec_doc["m"]["dims"] = [2.9]
+    elif case == "names-as-a-string":
+        spec_doc["m"]["names"] = "M"
+    return spec_doc, prover_doc
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "document-not-an-object",
+        "responses-not-an-object",
+        "mix-of-the-wrong-form",
+        "flag-as-a-string",
+        "fractional-rounds",
+        "fractional-dims",
+        "names-as-a-string",
+    ],
+)
+def test_malformed_documents_exit_with_status_two(tmp_path, capsys, case):
+    spec_doc, prover_doc = _malformed(case)
+    spec_path, prover_path = tmp_path / "spec.json", tmp_path / "prover.json"
+    spec_path.write_text(json.dumps(spec_doc))
+    prover_path.write_text(json.dumps(prover_doc))
+    args = ["--spec", str(spec_path), "--prover", str(prover_path)]
+    status = main(["canonicalize", *args, "--csv", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert status == 2, err
+    assert err.startswith("error: "), err
 
 
 REFERENCE_CSV_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "cli"
@@ -439,7 +513,8 @@ def test_dumps_document_sorts_keys_and_prints_17_digits():
 def test_17_digit_floats_round_trip_exactly(x):
     # 17 significant digits identify every finite double; 16 do not (0.1 + 0.2)
     assert struct.pack("<d", float(fmt17(x))) == struct.pack("<d", x)
-    assert json.loads(dumps_document({"x": x}))["x"] == x
+    # a document keeps every bit, the sign of a zero included
+    assert struct.pack("<d", json.loads(dumps_document({"x": x}))["x"]) == struct.pack("<d", x)
 
 
 def test_render_csv_rejects_malformed_rows():

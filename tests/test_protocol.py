@@ -32,6 +32,7 @@ from qiplab.protocol import (
     classical_response_channel,
     joint_response_operators,
     postselected_acceptance,
+    public_coin_protocol,
     run_interaction,
     verifier_message_distribution,
 )
@@ -39,6 +40,7 @@ from qiplab.qmath import (
     Povm,
     apply_kraus_array,
     dephase_axes,
+    kron_all,
     measure_array,
     prepare_array,
     reorder_array,
@@ -49,6 +51,8 @@ from qiplab.random_instances import (
     random_eb_channel,
     random_effect,
     random_kraus_channel,
+    random_measurement_family,
+    random_public_coin_spec,
     random_pure,
     random_qcip2_spec,
     random_raw_prover,
@@ -352,7 +356,8 @@ def test_measure_and_prepare_matches_the_kraus_form(case):
     zero = np.eye(math.prod(dims[a] for a in reset))[:, :1]
     kraus = [np.kron(zero, k) for k in channel.to_kraus().kraus_ops]
     want = apply_kraus_array(rho, dims, kraus, target)
-    got = protocol._measure_prepare(rho, dims, channel, out, reset)
+    effects, preps = protocol._emission(channel, layout(target), layout(out), "emission")
+    got = protocol._apply_move(rho, dims, protocol._Move((), (), effects, preps, target))
     assert got.shape == (d, d)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -365,16 +370,17 @@ def forward_closing(spec, rho, dims, mv_axes):
 
 
 def forward_acceptance(spec, prover):
-    workspace = protocol._workspace_of(spec, prover)
-    full, p_axes, m_axes, v_axes = protocol._geometry(spec, workspace)
+    full, opening, response = protocol._prover_moves(spec, prover)
     dims = full.dims
+    m_axes = full.axes(spec.m_layout.names)
+    v_axes = full.axes(spec.v_layout.names)
     rho = protocol._zero_state(full.total_dim)
     if spec.rounds == 3:
-        rho = protocol._prover_move(spec, prover, rho, dims, p_axes, m_axes, opening=True)
+        rho = protocol._apply_move(rho, dims, opening)
         if 1 in spec.classical_rounds:
             rho = dephase_axes(rho, dims, m_axes)
     rho = protocol._challenge_move(spec, rho, dims, m_axes, v_axes, full)
-    rho = protocol._prover_move(spec, prover, rho, dims, p_axes, m_axes, opening=False)
+    rho = protocol._apply_move(rho, dims, response)
     if spec.response_round in spec.classical_rounds:
         rho = dephase_axes(rho, dims, m_axes)
     return forward_closing(spec, rho, dims, m_axes + v_axes).real
@@ -382,7 +388,7 @@ def forward_acceptance(spec, prover):
 
 def forward_challenge_blocks(spec, rho):
     """sigma_V of each challenge after the challenge move, and the geometry."""
-    full, _, m_axes, v_axes = protocol._geometry(spec, None)
+    full, m_axes, v_axes = protocol._geometry(spec)
     dims = full.dims
     rho = protocol._challenge_move(spec, rho, dims, m_axes, v_axes, full)
     basis = np.eye(spec.m_layout.total_dim)
@@ -728,3 +734,111 @@ def test_two_round_coin_commitment_postselects_to_the_family_entry():
     )
     assert postselected_acceptance(spec, "0", "0") == pytest.approx(0.75, abs=1e-12)
     assert postselected_acceptance(spec, "1", "1") == pytest.approx(0.25, abs=1e-12)
+
+
+def wrong_form_instance(case):
+    """A protocol and a prover, one of whose channels has the other form
+    (Kraus or measure-and-prepare) while acting on the right registers."""
+    rng = derived_rng(36, "wrong-form")
+    spec = random_verifier_spec(rng)
+    raw = random_raw_prover(rng, spec)
+    pm = raw.workspace.concat(spec.m_layout)
+    if case in ("v1", "v2"):
+        return dataclasses.replace(spec, **{case: random_eb_channel(rng, spec.joint_layout())}), raw
+    if case == "raw mix1":
+        return spec, dataclasses.replace(raw, mix1=random_eb_channel(rng, pm))
+    if case == "raw emit2":
+        sm = raw.workspace.subset(raw.eb_labels).concat(spec.m_layout)
+        return spec, dataclasses.replace(raw, emit2=random_kraus_channel(rng, sm, spec.m_layout))
+    if case == "entangled respond":
+        return spec, EntangledStrategy(raw.workspace, raw.mix1, random_eb_channel(rng, pm))
+    psi = PureState.basis(spec.m_layout, 0)
+    return spec, CanonicalStrategy(psi, KrausChannel.identity(spec.m_layout))
+
+
+@pytest.mark.parametrize(
+    "case", ["v1", "v2", "raw mix1", "raw emit2", "entangled respond", "canonical respond"]
+)
+def test_channels_of_the_wrong_form_are_refused(case):
+    with pytest.raises(ValidationError, match="must be"):
+        run_interaction(*wrong_form_instance(case))
+    if case.startswith("raw"):
+        with pytest.raises(ValidationError, match="must be"):
+            canonicalize_prover(*wrong_form_instance(case))
+
+
+def old_public_coin_spec(family):
+    """Test-only copy of the flag construction public_coin_protocol replaced."""
+    m_layout = RegisterLayout(("M",), (2,))
+    v_layout = RegisterLayout(("R", "C"), (2, 2))
+    joint = m_layout.concat(v_layout)
+    flag = np.zeros((8, 8), dtype=np.complex128)
+    for x in range(2):
+        for a in range(2):
+            proj_a = np.zeros((2, 2))
+            proj_a[a, a] = 1.0
+            proj_x = np.zeros((2, 2))
+            proj_x[x, x] = 1.0
+            flag += kron_all([proj_a, family.op(str(x), str(a)).entries, proj_x])
+    return ProtocolSpec(
+        m_layout=m_layout,
+        v_layout=v_layout,
+        rounds=3,
+        v2=KrausChannel.identity(joint),
+        accept=MeasurementOperator(joint, flag),
+        classical_rounds=frozenset({2, 3}),
+        public_coin=True,
+        coin_label="C",
+        saved_label="R",
+    )
+
+
+def old_random_public_coin_spec(rng):
+    """Test-only copy of the random instance before it used public_coin_protocol."""
+    m_layout = RegisterLayout(("M",), (2,))
+    ops = {(str(x), str(a)): random_effect(rng, m_layout) for x in range(2) for a in range(2)}
+    family = MeasurementFamily(("0", "1"), ("0", "1"), ops)
+    return old_public_coin_spec(family), family
+
+
+def assert_same_spec(a, b):
+    for field in dataclasses.fields(ProtocolSpec):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "accept":
+            assert x.layout == y.layout and x.entries.tobytes() == y.entries.tobytes()
+        elif field.name == "v2":
+            assert x.in_layout == y.in_layout and x.out_layout == y.out_layout
+            assert [k.tobytes() for k in x.kraus_ops] == [k.tobytes() for k in y.kraus_ops]
+        else:
+            assert x == y, field.name
+
+
+def test_public_coin_protocol_matches_the_old_flag_bit_for_bit():
+    spec, family = chsh_protocol()
+    assert_same_spec(spec, old_public_coin_spec(family))
+    for seed in range(24):
+        new_spec, new_family = random_public_coin_spec(derived_rng(seed, "coin-flag"))
+        old_spec, old_family = old_random_public_coin_spec(derived_rng(seed, "coin-flag"))
+        assert_same_spec(new_spec, old_spec)
+        for key, op in old_family.operators.items():
+            assert new_family.op(*key).entries.tobytes() == op.entries.tobytes()
+
+
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+@example(3, 0)
+def test_public_coin_protocol_scores_each_answer_with_its_effect(d, seed):
+    m_layout = RegisterLayout(("M",), (d,))
+    family = random_measurement_family(np.random.default_rng(seed), m_layout, d, d)
+    joint = joint_response_operators(public_coin_protocol(family))
+    for y in family.challenges:
+        for z in family.responses:
+            want = family.op(y, z).entries / d
+            assert np.max(np.abs(joint.op(y, z).entries - want)) < 1e-12
+
+
+def test_public_coin_protocol_needs_basis_label_indices():
+    m_layout = RegisterLayout(("M",), (2,))
+    ident = MeasurementOperator.identity(m_layout)
+    family = MeasurementFamily(("a", "b"), ("0", "1"), {(y, z): ident for y in "ab" for z in "01"})
+    with pytest.raises(ValidationError, match="basis labels"):
+        public_coin_protocol(family)
