@@ -20,7 +20,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .channels import EbChannel, KrausChannel, check_eb_ppt
-from .errors import ContractError, NumericsError, QipLabError, ValidationError
+from .errors import BudgetError, ContractError, NumericsError, QipLabError, ValidationError
 from .optimize import (
     OptimizerConfig,
     exact_classical_response_value,
@@ -382,6 +382,19 @@ def _convert(name: str, kind: type, value: Any) -> Any:
 # ---------------------------------------------------------------------------
 # runners
 
+# Largest canonicalize --trials and eb-check --count.  On a 2-core host a
+# trial takes about 3.6 ms and a channel about 0.6 ms; the largest accepted
+# batches take about 3.8 s each as fresh processes.
+CANONICALIZE_TRIAL_BUDGET = 1000
+EB_CHECK_COUNT_BUDGET = 5000
+
+
+def _check_count(name: str, value: int, low: int, budget: int) -> None:
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    if value > budget:
+        raise BudgetError(f"{name} = {value} exceeds the budget {budget}")
+
 
 def _run_chsh_gap(params: Mapping[str, Any]):
     _, fam = chsh_protocol()
@@ -403,8 +416,7 @@ def _canonicalize_instance(spec: ProtocolSpec, prover: RawUnentangledStrategy):
 
 
 def _run_canonicalize(params: Mapping[str, Any]):
-    if params["trials"] < 1:
-        raise ValidationError(f"trials must be >= 1, got {params['trials']}")
+    _check_count("trials", params["trials"], 1, CANONICALIZE_TRIAL_BUDGET)
     if (params["spec"] is None) != (params["prover"] is None):
         raise ValidationError("pass both of --spec and --prover, or neither")
     rows = []
@@ -413,9 +425,7 @@ def _run_canonicalize(params: Mapping[str, Any]):
         prover = strategy_from_document(_read_document(params["prover"]))
         raw_value, canon_value, canonical = _canonicalize_instance(spec, prover)
         if params["emit"] is not None:
-            Path(params["emit"]).write_text(
-                dumps_document(strategy_document(canonical)) + "\n", encoding="utf-8"
-            )
+            _write(params["emit"], (dumps_document(strategy_document(canonical)) + "\n").encode())
         rows.append((0, raw_value, canon_value, canon_value - raw_value))
     else:
         if params["emit"] is not None:
@@ -434,8 +444,7 @@ def _run_canonicalize(params: Mapping[str, Any]):
 
 
 def _run_eb_check(params: Mapping[str, Any]):
-    if params["count"] < 0:
-        raise ValidationError(f"count must be >= 0, got {params['count']}")
+    _check_count("count", params["count"], 0, EB_CHECK_COUNT_BUDGET)
     rows = []
     if params["channel"] is not None:
         channel = channel_from_document(_read_document(params["channel"]))
@@ -576,10 +585,17 @@ def run(config: ExperimentConfig) -> int:
     """Execute the experiment, write its CSV report, print the summary."""
     columns, rows, footer, summary = _COMMANDS[config.command].run(config.params)
     csv_path = Path(config.params["csv"])
-    csv_path.write_bytes(render_csv(columns, rows, config.document(), footer))
+    _write(csv_path, render_csv(columns, rows, config.document(), footer))
     print(summary)
     print(f"report: {csv_path}")
     return 0
+
+
+def _write(path: str | Path, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

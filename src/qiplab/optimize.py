@@ -57,6 +57,9 @@ SEESAW_DIMENSION_BUDGET = 256
 SEESAW_RESTART_BUDGET = 2**15
 SUBSAMPLE_TRIAL_BUDGET = 5 * 10**4
 SUBSAMPLE_DRAW_BUDGET = 10**7
+# Largest k majority_amplify accepts: the largest odd k whose binomial
+# coefficients all fit a double (comb(1031, 515) is past 1.8e308).
+AMPLIFY_K_BUDGET = 1029
 ITERATE_MONOTONE_TOL = 1e-12
 RESPONSE_ALPHABET_CAP = 8
 # Elements (16 MB of complex128) of the largest intermediate one stack of
@@ -750,6 +753,8 @@ def majority_amplify(p: float, k: int) -> float:
         raise ValidationError(f"p must be in [0, 1], got {p!r}")
     if k < 1 or k % 2 == 0:
         raise ValidationError(f"k must be a positive odd count, got {k}")
+    if k > AMPLIFY_K_BUDGET:
+        raise BudgetError(f"k = {k} exceeds the amplification budget {AMPLIFY_K_BUDGET}")
     terms = [
         math.comb(k, j) * p**j * (1.0 - p) ** (k - j) for j in range(k // 2 + 1, k + 1)
     ]

@@ -8,21 +8,20 @@ the verifier applies a final channel and measures an accept flag.
 Two-round protocols drop the prover's first message (the verifier opens).
 
 Rounds may be declared classical, which dephases M in the computational
-basis before transmission.  A public-coin verifier does not apply a first
+basis after the round's move.  A public-coin verifier does not apply a first
 channel at all: it stashes the incoming message in a designated workspace
 register, samples a uniform coin, records the coin, and transmits the coin
 (a uniform-challenge verifier keeps the message intact this way, which is
 what the final measurement acts on).
 
 The simulator keeps one dense density matrix over (P, M, V) up to the
-prover's response.  Every measurement it makes -- the prover's
-measure-and-prepare emissions, the public coin and challenge conditioning --
-is a contraction against stacked effects (qmath.measure_array) followed,
-where something is emitted, by qmath.prepare_array; Kraus operators remain
-only for channels given in Kraus form (mix, v1 and the entangled prover's
-channels).  The verifier's closing channel v2 is never applied to a state:
-it and the accept flag enter as one effect v2^dag(accept) on (M, V), the
-Heisenberg picture, contracted against what the prover leaves behind.
+prover's response, and one loop applies each round's move: Kraus
+operators, then a measure-and-prepare emission (effects contracted by
+qmath.measure_array, vectors written by qmath.prepare_array).  The
+prover's opening and response, the public coin and v1 all take this form.
+The verifier's closing channel v2 is never applied to a state: it and the
+accept flag enter as one effect v2^dag(accept) on (M, V), the Heisenberg
+picture, contracted against what the prover leaves behind.
 
 Prover strategies come in four forms, from the most general unentangled one
 (arbitrary workspace channels with measure-and-prepare message emission) to
@@ -265,10 +264,10 @@ def _check_simulator_dimension(layout: RegisterLayout):
 
 
 def _geometry(spec: ProtocolSpec):
-    """The verifier's registers (M, V), checked against the budget, and their axes."""
+    """The verifier's registers (M, V), checked against the budget, and M's axes."""
     full = spec.joint_layout()
     _check_simulator_dimension(full)
-    return full, full.axes(spec.m_layout.names), full.axes(spec.v_layout.names)
+    return full, full.axes(spec.m_layout.names)
 
 
 def _zero_state(dim: int) -> np.ndarray:
@@ -402,31 +401,29 @@ def _prover_moves(spec: ProtocolSpec, prover: ProverStrategy, fold: bool = False
     return layout, opening, response
 
 
-def _challenge_move(spec, rho, dims, m_axes, v_axes, full):
-    """The verifier's v1, or its public coin, then dephasing if classical.
-
-    The coin is a measure-and-prepare step on (M, coin): n effects I/n and
-    the prepared pairs |y>|y>.  Three rounds first swap M into the stash.
-    """
-    if spec.public_coin:
-        n = spec.m_layout.total_dim
-        if spec.rounds == 3:
-            swap = np.eye(n * n).reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n)
-            rho = apply_kraus_array(rho, dims, [swap], m_axes + (full.axis(spec.saved_label),))
-        axes = m_axes + (full.axis(spec.coin_label),)
-        blocks = measure_array(rho, dims, [np.eye(n * n) / n] * n, axes)
-        rho = prepare_array(blocks, dims, np.eye(n * n)[:: n + 1], axes)
-    else:
-        rho = apply_kraus_array(rho, dims, spec.v1.kraus_ops, tuple(m_axes) + tuple(v_axes))
-    if spec.challenge_round in spec.classical_rounds:
-        rho = dephase_axes(rho, dims, m_axes)
-    return rho
+def _challenge(spec: ProtocolSpec, layout: RegisterLayout) -> _Move:
+    """The verifier's challenge move on `layout`: v1's Kraus operators on (M, V),
+    or the public coin, which swaps M into the stash (three rounds only), then
+    measures n effects I/n and prepares the pairs |y>|y> on (M, coin)."""
+    m_axes = layout.axes(spec.m_layout.names)
+    if not spec.public_coin:
+        return _Move(spec.v1.kraus_ops, m_axes + layout.axes(spec.v_layout.names), [], [], ())
+    n = spec.m_layout.total_dim
+    pairs = np.eye(n * n)
+    swap, swap_axes = (), ()
+    if spec.rounds == 3:
+        swap = (pairs.reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n),)
+        swap_axes = m_axes + (layout.axis(spec.saved_label),)
+    coin_axes = m_axes + (layout.axis(spec.coin_label),)
+    return _Move(swap, swap_axes, [pairs / n] * n, pairs[:: n + 1], coin_axes)
 
 
 def _opening_blocks(spec: ProtocolSpec) -> np.ndarray:
-    """The block on V of each challenge y of a two-round protocol's opening move."""
-    full, m_axes, v_axes = _geometry(spec)
-    rho = _challenge_move(spec, _zero_state(full.total_dim), full.dims, m_axes, v_axes, full)
+    """The block on V of each challenge y of a two-round protocol's opening move.
+
+    Measuring M in its basis zeroes what dephasing the challenge would."""
+    full, m_axes = _geometry(spec)
+    rho = _apply_move(_zero_state(full.total_dim), full.dims, _challenge(spec, full))
     return measure_array(rho, full.dims, _basis_effects(spec.m_layout.total_dim), m_axes)
 
 
@@ -450,14 +447,14 @@ def run_interaction(spec: ProtocolSpec, prover: ProverStrategy) -> float:
     dims = full.dims
     m_axes, v_axes = full.axes(spec.m_layout.names), full.axes(spec.v_layout.names)
     rho = _zero_state(full.total_dim)
-    if opening is not None:
-        rho = _apply_move(rho, dims, opening)
-        if 1 in spec.classical_rounds:
-            rho = dephase_axes(rho, dims, m_axes)
-    rho = _challenge_move(spec, rho, dims, m_axes, v_axes, full)
-    rho = _apply_move(rho, dims, response)
-    if spec.response_round in spec.classical_rounds:
-        rho = dephase_axes(rho, dims, m_axes)
+    moves = [move for move in (opening, _challenge(spec, full), response) if move is not None]
+    for round_, move in enumerate(moves, start=1):
+        # nested so the pre-move state is freed after the dephasing: freed before,
+        # glibc trims the heap and the next move's D x D temporaries page-fault
+        if round_ in spec.classical_rounds:
+            rho = dephase_axes(_apply_move(rho, dims, move), dims, m_axes)
+        else:
+            rho = _apply_move(rho, dims, move)
     block = measure_array(rho, dims, [_closing_effect(spec)], m_axes + v_axes)[0]
     return checked_probability(float(np.trace(block).real), "acceptance probability")
 
@@ -488,7 +485,7 @@ def postselected_acceptance(spec: ProtocolSpec, y: str, z: str) -> float:
         raise ValidationError(
             "postselection needs a two-round protocol with both rounds classical"
         )
-    full, m_axes, _ = _geometry(spec)
+    full, m_axes = _geometry(spec)
     block = _opening_blocks(spec)[spec.m_layout.basis_index(y)]
     p_y = float(np.trace(block).real)
     if p_y <= CONDITIONING_TOL:
@@ -568,8 +565,9 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
         raise ValidationError("family extraction needs a classical challenge round")
     if spec.response_round not in spec.classical_rounds:
         raise ValidationError("family extraction needs a classical response round")
-    full, m_axes, v_axes = _geometry(spec)
+    full, m_axes = _geometry(spec)
     dims = full.dims
+    challenge = _challenge(spec, full)
     d_m = spec.m_layout.total_dim
     labels = spec.m_layout.basis_labels()
     v_zero = _zero_state(spec.v_layout.total_dim)
@@ -583,8 +581,9 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
             rho = np.kron(np.outer(kets[j], kets[k]), v_zero)
             if 1 in spec.classical_rounds:
                 rho = dephase_axes(rho, dims, m_axes)
-            rho = _challenge_move(spec, rho, dims, m_axes, v_axes, full)
-            # sigma_V of each challenge y, scored by tr(E_z sigma_V) for every z
+            rho = _apply_move(rho, dims, challenge)
+            # sigma_V of each challenge y (measured in M's basis, so not dephased
+            # first), scored by tr(E_z sigma_V) for every z
             blocks = measure_array(rho, dims, basis, m_axes)
             tables[:, :, k, j] = np.einsum("zab,yba->yz", closing_blocks, blocks)
     ops = {

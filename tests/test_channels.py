@@ -127,6 +127,23 @@ def test_choi_agrees_between_forms():
         assert np.max(np.abs(a - b)) < 1e-10
 
 
+@st.composite
+def choi_layouts(draw):
+    """Input and output registers with in * out <= 12, as far as PPT is tested."""
+    d_in = draw(st.integers(2, 6))
+    d_out = draw(st.integers(2, 12 // d_in))
+    return RegisterLayout(("A",), (d_in,)), RegisterLayout(("B",), (d_out,))
+
+
+@given(choi_layouts(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example((RegisterLayout(("A",), (3,)), RegisterLayout(("B",), (4,))), 3, 0)
+def test_choi_of_a_measure_and_prepare_channel_matches_its_kraus_form(layouts, n_outcomes, seed):
+    ch = random_eb_channel(np.random.default_rng(seed), *layouts, n_outcomes=n_outcomes)
+    a = choi(ch).operator.entries
+    b = choi(ch.to_kraus()).operator.entries
+    assert np.max(np.abs(a - b)) < 1e-10
+
+
 def test_channels_equal():
     ident = KrausChannel.identity(QUBIT)
     dephase = KrausChannel(QUBIT, QUBIT, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
@@ -210,6 +227,15 @@ def test_eb_from_separable_choi_roundtrip():
             p * np.kron(v.projector(), w.projector()) for p, v, w in terms
         )
         assert np.max(np.abs(choi(ch).operator.entries - target)) < 1e-9
+
+
+@given(choi_layouts(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example((RegisterLayout(("A",), (2,)), RegisterLayout(("B",), (6,))), 2, 0)
+def test_choi_of_a_separable_decomposition_is_its_sum(layouts, n_bases, seed):
+    terms = random_separable_choi_terms(np.random.default_rng(seed), *layouts, n_bases=n_bases)
+    ch = eb_from_separable_choi(layouts[0].total_dim, terms)
+    target = sum(p * np.kron(v.projector(), w.projector()) for p, v, w in terms)
+    assert np.max(np.abs(choi(ch).operator.entries - target)) < 1e-9
 
 
 def test_eb_from_separable_choi_complex_vectors_conjugate_on_input_copy():

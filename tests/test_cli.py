@@ -27,6 +27,8 @@ from qiplab import (
 )
 from qiplab.cli import (
     _COMMANDS,
+    CANONICALIZE_TRIAL_BUDGET,
+    EB_CHECK_COUNT_BUDGET,
     ExperimentConfig,
     build_parser,
     channel_document,
@@ -264,6 +266,24 @@ def test_usage_errors_exit_with_status_two(tmp_path, run_cli):
         refused = run_cli([*args, "--csv", "x.csv"], cwd=tmp_path)
         assert refused.returncode == 2, refused.stderr.decode()
         assert b"must be >=" in refused.stderr
+    # and above it, refused before the first trial: k past the last odd count
+    # whose binomial coefficients fit a double, and each count budget plus one
+    for args in (
+        ["amplify", "--k", "1031"],
+        ["canonicalize", "--trials", str(CANONICALIZE_TRIAL_BUDGET + 1)],
+        ["eb-check", "--count", str(EB_CHECK_COUNT_BUDGET + 1)],
+    ):
+        start = time.perf_counter()
+        refused = run_cli([*args, "--csv", "x.csv"], cwd=tmp_path)
+        elapsed = time.perf_counter() - start
+        assert refused.returncode == 2, refused.stderr.decode()
+        assert b"budget" in refused.stderr
+        assert elapsed < 1.0, f"refusing {args} took {elapsed:.2f} s"
+    # a report that cannot be written: a missing directory, or a directory
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        unwritable = run_cli(["amplify", "--csv", str(path)], cwd=tmp_path)
+        assert unwritable.returncode == 2, unwritable.stderr.decode()
+        assert b"cannot write" in unwritable.stderr
 
 
 def _malformed(case):
@@ -357,7 +377,7 @@ def test_cli_children_import_the_package_under_test(tmp_path, cli_env):
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded(tmp_path, cli_env):
-    # only net_covering_error needs scipy.spatial, and it imports it itself;
+    # the package needs no scipy (the net's triangulation is numpy only);
     # restarts and trials run in plain loops, so no executor is loaded either
     probe = (
         "import sys, qiplab.cli; "

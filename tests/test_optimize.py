@@ -667,6 +667,15 @@ def test_majority_amplify_matches_the_binomial_tail():
         majority_amplify(1.5, 5)
 
 
+def test_majority_amplify_budget_is_the_last_k_whose_coefficients_fit_a_double():
+    assert optimize.AMPLIFY_K_BUDGET == 1029
+    assert 0.5 < majority_amplify(0.6, 1029) <= 1.0
+    with pytest.raises(OverflowError):
+        float(math.comb(1031, 515))
+    with pytest.raises(BudgetError, match="amplification budget"):
+        majority_amplify(0.6, 1031)
+
+
 def test_optimizer_config_and_report_guards():
     with pytest.raises(ValidationError):
         OptimizerConfig(restarts=0)

@@ -379,7 +379,9 @@ def forward_acceptance(spec, prover):
         rho = protocol._apply_move(rho, dims, opening)
         if 1 in spec.classical_rounds:
             rho = dephase_axes(rho, dims, m_axes)
-    rho = protocol._challenge_move(spec, rho, dims, m_axes, v_axes, full)
+    rho = protocol._apply_move(rho, dims, protocol._challenge(spec, full))
+    if spec.challenge_round in spec.classical_rounds:
+        rho = dephase_axes(rho, dims, m_axes)
     rho = protocol._apply_move(rho, dims, response)
     if spec.response_round in spec.classical_rounds:
         rho = dephase_axes(rho, dims, m_axes)
@@ -388,12 +390,15 @@ def forward_acceptance(spec, prover):
 
 def forward_challenge_blocks(spec, rho):
     """sigma_V of each challenge after the challenge move, and the geometry."""
-    full, m_axes, v_axes = protocol._geometry(spec)
+    full, m_axes = protocol._geometry(spec)
     dims = full.dims
-    rho = protocol._challenge_move(spec, rho, dims, m_axes, v_axes, full)
+    rho = protocol._apply_move(rho, dims, protocol._challenge(spec, full))
+    if spec.challenge_round in spec.classical_rounds:
+        rho = dephase_axes(rho, dims, m_axes)
     basis = np.eye(spec.m_layout.total_dim)
     effects = basis[:, :, None] * basis[:, None, :]
-    return measure_array(rho, dims, effects, m_axes), dims, m_axes, m_axes + v_axes
+    mv_axes = m_axes + full.axes(spec.v_layout.names)
+    return measure_array(rho, dims, effects, m_axes), dims, m_axes, mv_axes
 
 
 def forward_postselected(spec, y, z):
@@ -503,6 +508,106 @@ def test_pulled_back_closing_effect_matches_the_forward_closing_step(case):
                 want = (table + table.conj().T) / 2
                 assert np.max(np.abs(family.op(y, z).entries - want)) < 1e-13
 
+
+def applied_challenge(spec, rho, dims, m_axes, v_axes, full):
+    """Test-only copy of the challenge step before it became a move: v1 or
+    the public coin applied to the state, then dephasing if classical."""
+    if spec.public_coin:
+        n = spec.m_layout.total_dim
+        if spec.rounds == 3:
+            swap = np.eye(n * n).reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n)
+            rho = apply_kraus_array(rho, dims, [swap], m_axes + (full.axis(spec.saved_label),))
+        axes = m_axes + (full.axis(spec.coin_label),)
+        blocks = measure_array(rho, dims, [np.eye(n * n) / n] * n, axes)
+        rho = prepare_array(blocks, dims, np.eye(n * n)[:: n + 1], axes)
+    else:
+        rho = apply_kraus_array(rho, dims, spec.v1.kraus_ops, tuple(m_axes) + tuple(v_axes))
+    if spec.challenge_round in spec.classical_rounds:
+        rho = dephase_axes(rho, dims, m_axes)
+    return rho
+
+
+def applied_run_interaction(spec, prover):
+    full, opening, response = protocol._prover_moves(spec, prover)
+    dims = full.dims
+    m_axes, v_axes = full.axes(spec.m_layout.names), full.axes(spec.v_layout.names)
+    rho = protocol._zero_state(full.total_dim)
+    if opening is not None:
+        rho = protocol._apply_move(rho, dims, opening)
+        if 1 in spec.classical_rounds:
+            rho = dephase_axes(rho, dims, m_axes)
+    rho = applied_challenge(spec, rho, dims, m_axes, v_axes, full)
+    rho = protocol._apply_move(rho, dims, response)
+    if spec.response_round in spec.classical_rounds:
+        rho = dephase_axes(rho, dims, m_axes)
+    block = measure_array(rho, dims, [protocol._closing_effect(spec)], m_axes + v_axes)[0]
+    return protocol.checked_probability(float(np.trace(block).real), "acceptance probability")
+
+
+def applied_opening_blocks(spec):
+    full = spec.joint_layout()
+    m_axes, v_axes = full.axes(spec.m_layout.names), full.axes(spec.v_layout.names)
+    rho = applied_challenge(spec, protocol._zero_state(full.total_dim), full.dims, m_axes, v_axes, full)
+    return measure_array(rho, full.dims, protocol._basis_effects(spec.m_layout.total_dim), m_axes)
+
+
+def applied_postselected(spec, y, z):
+    full = spec.joint_layout()
+    m_axes = full.axes(spec.m_layout.names)
+    block = applied_opening_blocks(spec)[spec.m_layout.basis_index(y)]
+    p_y = float(np.trace(block).real)
+    z_effect = protocol._basis_effects(spec.m_layout.total_dim)[spec.m_layout.basis_index(z), None]
+    e_z = measure_array(protocol._closing_effect(spec), full.dims, z_effect, m_axes)[0]
+    return protocol.checked_probability(float(np.trace(e_z @ block).real) / p_y)
+
+
+def applied_family(spec):
+    """N_{y,z}, symmetrized, with the challenge applied to each matrix unit."""
+    full = spec.joint_layout()
+    dims = full.dims
+    m_axes, v_axes = full.axes(spec.m_layout.names), full.axes(spec.v_layout.names)
+    d_m = spec.m_layout.total_dim
+    v_zero = protocol._zero_state(spec.v_layout.total_dim)
+    basis = protocol._basis_effects(d_m)
+    kets = np.eye(d_m)
+    closing_blocks = measure_array(protocol._closing_effect(spec), dims, basis, m_axes)
+    tables = np.zeros((d_m, d_m, d_m, d_m), dtype=np.complex128)
+    for j in range(d_m):
+        for k in range(d_m):
+            rho = np.kron(np.outer(kets[j], kets[k]), v_zero)
+            if 1 in spec.classical_rounds:
+                rho = dephase_axes(rho, dims, m_axes)
+            rho = applied_challenge(spec, rho, dims, m_axes, v_axes, full)
+            blocks = measure_array(rho, dims, basis, m_axes)
+            tables[:, :, k, j] = np.einsum("zab,yba->yz", closing_blocks, blocks)
+    return (tables + tables.conj().transpose(0, 1, 3, 2)) / 2
+
+
+@given(closing_cases())
+@example((3, True, frozenset({2, 3}), 2, 2, 0))
+@example((3, False, frozenset({1, 2, 3}), 3, 2, 1))
+@example((2, True, frozenset({1}), 2, 3, 2))
+@example((2, False, frozenset({1, 2}), 3, 2, 3))
+def test_challenge_move_matches_the_applied_challenge_exactly(case):
+    rounds, public, classical, m_dim, v_dim, seed = case
+    rng = np.random.default_rng(seed)
+    spec = drawn_spec(rng, rounds, public, classical, m_dim, v_dim)
+    for prover in drawn_provers(rng, spec):
+        assert run_interaction(spec, prover) == applied_run_interaction(spec, prover)
+    labels = spec.m_layout.basis_labels()
+    if rounds == 2:
+        want = [float(np.trace(block).real) for block in applied_opening_blocks(spec)]
+        assert list(verifier_message_distribution(spec).values()) == want
+    if rounds == 2 and classical == {1, 2}:
+        for y in labels:
+            for z in labels:
+                assert postselected_acceptance(spec, y, z) == applied_postselected(spec, y, z)
+    if rounds == 3 and {2, 3} <= classical:
+        family = joint_response_operators(spec)
+        want = applied_family(spec)
+        for y_idx, y in enumerate(labels):
+            for z_idx, z in enumerate(labels):
+                assert np.array_equal(family.op(y, z).entries, want[y_idx, z_idx])
 
 def test_postselection_recomposes_the_total_acceptance():
     for trial in range(10):
