@@ -108,11 +108,6 @@ class EbChannel:
     def out_layout(self) -> RegisterLayout:
         return self.preps[0].layout
 
-    @classmethod
-    def constant(cls, in_layout: RegisterLayout, prep: PureState) -> "EbChannel":
-        """Discard the input and emit `prep`."""
-        return cls(Povm((MeasurementOperator.identity(in_layout),)), (prep,))
-
     def to_kraus(self) -> KrausChannel:
         """Equivalent Kraus form via POVM square roots.
 
@@ -234,20 +229,23 @@ def channels_equal(a, b, tol: float = CHOI_EQUAL_TOL) -> bool:
 
 class PptReport(NamedTuple):
     min_eigenvalue: float
-    verdict: str  # "PPT" or "NPT"
+    verdict: str  # "NPT", "PPT" or "PPT-inconclusive"
 
 
 def check_eb_ppt(channel: KrausChannel | EbChannel) -> PptReport:
     """Partial-transpose test on the Choi state.
 
-    NPT certifies the channel is not entanglement breaking.  PPT certifies
-    it is only when in_dim * out_dim <= 6 (qubit-qubit and qubit-qutrit);
-    beyond that PPT is necessary, not sufficient.
+    NPT certifies the channel is not entanglement breaking.  A positive
+    partial transpose certifies that it is only when in_dim * out_dim <= 6
+    (qubit-qubit and qubit-qutrit, Horodecki 1996), verdict "PPT"; beyond
+    that PPT is necessary, not sufficient, and the verdict is "PPT-inconclusive".
     """
     cm = choi(channel)
     pt = partial_transpose(cm.operator, "in")
     lo = float(np.linalg.eigvalsh(pt)[0])
-    return PptReport(lo, "NPT" if lo < -NPT_TOL else "PPT")
+    if lo < -NPT_TOL:
+        return PptReport(lo, "NPT")
+    return PptReport(lo, "PPT" if cm.in_dim * cm.out_dim <= 6 else "PPT-inconclusive")
 
 
 def eb_from_separable_choi(

@@ -459,7 +459,7 @@ def _run_eb_check(params: Mapping[str, Any]):
             rng = derived_rng(params["seed"], "eb-check", i)
             report = check_eb_ppt(random_eb_channel(rng, qubit))
             rows.append((i + 1, "eb", report.min_eigenvalue, report.verdict))
-    ppt = sum(1 for row in rows if row[3] == "PPT")
+    ppt = sum(1 for row in rows if row[3] != "NPT")
     summary = (
         f"{ppt}/{len(rows)} channel(s) PPT, "
         f"min partial-transpose eigenvalue {min(row[2] for row in rows):.6f}"
@@ -583,6 +583,10 @@ _FLAG_HELP = {
 
 def run(config: ExperimentConfig) -> int:
     """Execute the experiment, write its CSV report, print the summary."""
+    for path in (config.params["csv"], config.params.get("emit")):
+        # refused before the experiment runs; nothing is created
+        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ValidationError(f"cannot write {path}: a directory, or in a missing one")
     columns, rows, footer, summary = _COMMANDS[config.command].run(config.params)
     csv_path = Path(config.params["csv"])
     _write(csv_path, render_csv(columns, rows, config.document(), footer))

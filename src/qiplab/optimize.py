@@ -8,6 +8,10 @@ procedure, and a subsampling experiment measuring how well a small random
 multiset of challenges approximates the uniform value.  majority_amplify
 does the parallel-repetition bookkeeping exactly.
 
+Every solver reads a family as one array, MeasurementFamily.effects of
+shape (n_y, n_z, d, d).  Response maps (one response per challenge) are
+enumerated by their digits: map g's table is the base-n_z digits of g.
+
 Everything is deterministic given a seed: per-restart and per-trial RNG
 streams derive from independent seed paths.  The solvers work on stacks:
 the exhaustive search diagonalizes a block of response maps at once, the
@@ -146,15 +150,6 @@ def _weight_vector(fam: MeasurementFamily, weights: Mapping[str, float] | None) 
     return np.clip(w, 0.0, None)
 
 
-def _family_array(fam: MeasurementFamily) -> np.ndarray:
-    d = fam.layout.total_dim
-    arr = np.empty((len(fam.challenges), len(fam.responses), d, d), dtype=np.complex128)
-    for i, y in enumerate(fam.challenges):
-        for j, z in enumerate(fam.responses):
-            arr[i, j] = fam.op(y, z).entries
-    return arr
-
-
 def _check_enumeration_budget(fam: MeasurementFamily):
     count = len(fam.responses) ** len(fam.challenges)
     if count > ENUMERATION_BUDGET:
@@ -172,16 +167,13 @@ def _chunks(count: int, elements_each: int):
         yield slice(start, min(start + step, count))
 
 
-def _response_map_blocks(n_y: int, n_z: int, elements_each: int):
-    """Every response map g in lexicographic order, as blocks of tables.
-
-    Each block is an int array with one row (g(y) for each challenge y) per
-    map, and at most STACK_ELEMENTS // elements_each rows (at least one).
+def _response_tables(n_y: int, n_z: int, maps: slice) -> np.ndarray:
+    """The tables of the response maps with indices in ``maps``, one row
+    (g(y) for each challenge y) per map.  Map g's row is the base-n_z digits
+    of g, most significant first, so the rows run in itertools.product order.
     """
-    tables = itertools.product(range(n_z), repeat=n_y)
-    step = max(1, STACK_ELEMENTS // elements_each)
-    while block := list(itertools.islice(tables, step)):
-        yield np.array(block, dtype=np.intp)
+    g = np.arange(maps.start, maps.stop, dtype=np.intp)[:, None]
+    return g // n_z ** np.arange(n_y - 1, -1, -1, dtype=np.intp) % n_z
 
 
 def _exact_values(fam: MeasurementFamily, weights: np.ndarray):
@@ -190,7 +182,7 @@ def _exact_values(fam: MeasurementFamily, weights: np.ndarray):
     Returns each row's value, its best response table (the lowest map index
     on ties) and the top eigenvector of that table's averaged operator.
     """
-    arr = _family_array(fam)
+    arr = fam.effects
     n_y, n_z, d, _ = arr.shape
     n_rows = len(weights)
     y_index = np.arange(n_y)
@@ -202,7 +194,8 @@ def _exact_values(fam: MeasurementFamily, weights: np.ndarray):
         index = np.arange(len(w))
         best = np.full(len(w), -np.inf)
         averaged = np.empty((len(w), d, d), dtype=np.complex128)
-        for block in _response_map_blocks(n_y, n_z, len(w) * n_y * d * d):
+        for maps in _chunks(n_z**n_y, len(w) * n_y * d * d):
+            block = _response_tables(n_y, n_z, maps)
             stacked = (arr[y_index, block] * w).sum(axis=2)
             tops = np.linalg.eigvalsh(stacked)[..., -1]
             winner = np.argmax(tops, axis=1)
@@ -357,23 +350,21 @@ def seesaw_entangled_value(
             f"{cfg.restarts} restarts exceed the see-saw restart budget {SEESAW_RESTART_BUDGET}"
         )
     w = _weight_vector(fam, weights)
-    fam_arr = _family_array(fam)
-    dim_keep = fam.layout.total_dim if keep_dim is None else int(keep_dim)
+    n_y, n_z, d_m, _ = fam.effects.shape
+    dim_keep = d_m if keep_dim is None else int(keep_dim)
     if dim_keep < 1:
         raise ValidationError(f"keep_dim must be >= 1, got {keep_dim}")
-    d_m = fam.layout.total_dim
     if dim_keep * d_m > SEESAW_DIMENSION_BUDGET:
         raise BudgetError(
             f"keep_dim {dim_keep} times message dimension {d_m} exceeds "
             f"the see-saw budget {SEESAW_DIMENSION_BUDGET}"
         )
-    n_y, n_z = len(fam.challenges), len(fam.responses)
     per_restart = max((dim_keep * d_m) ** 2, n_y * n_z * dim_keep * max(dim_keep, d_m))
     traces: list[list[float]] = []
     finals: list = []
     for chunk in _chunks(cfg.restarts, per_restart):
         chunk_traces, chunk_finals = _seesaw_lockstep(
-            fam_arr, w, dim_keep, cfg, range(cfg.restarts)[chunk]
+            fam.effects, w, dim_keep, cfg, range(cfg.restarts)[chunk]
         )
         traces += chunk_traces
         finals += chunk_finals
@@ -652,12 +643,11 @@ def brute_force_unentangled_value(
         )
     fam = joint_response_operators(spec)
     points, states = fibonacci_sphere_states(cfg.net_resolution)
-    arr = _family_array(fam)
-    n_y, n_z = arr.shape[:2]
+    n_y, n_z = fam.effects.shape[:2]
     # with one-qubit M there are 2 challenges and 2 responses: four maps,
     # scanned as one stack in lexicographic order (argmax keeps the first max)
-    tables = np.array(list(itertools.product(range(n_z), repeat=n_y)), dtype=np.intp)
-    stacked = arr[np.arange(n_y), tables].sum(axis=1)
+    tables = _response_tables(n_y, n_z, slice(0, n_z**n_y))
+    stacked = fam.effects[np.arange(n_y), tables].sum(axis=1)
     eigs = np.linalg.eigvalsh(stacked)
     if eigs.min() < -VALUE_RANGE_TOL or eigs.max() > 1 + VALUE_RANGE_TOL:
         raise NumericsError("a response map's acceptance operator escaped [0, I]")

@@ -54,6 +54,7 @@ from .qmath import (
     RegisterLayout,
     adjoint_kraus_array,
     apply_kraus_array,
+    checked_effects,
     dagger,
     dephase_axes,
     embed_operator,
@@ -214,41 +215,37 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class MeasurementFamily:
-    """Challenge/response indexed effects on the message register."""
+    """Challenge/response indexed effects on the message register.
+
+    ``effects[i, j]`` is the effect of challenge ``challenges[i]`` and
+    response ``responses[j]`` on ``layout``: one read-only complex array of
+    shape (n_y, n_z, d, d), checked as MeasurementOperator checks one effect.
+    The solvers read the array; ``op`` is the typed view of one effect.
+    """
 
     challenges: tuple[str, ...]
     responses: tuple[str, ...]
-    operators: Mapping[tuple[str, str], MeasurementOperator]
+    layout: RegisterLayout
+    effects: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "challenges", tuple(self.challenges))
         object.__setattr__(self, "responses", tuple(self.responses))
-        object.__setattr__(self, "operators", dict(self.operators))
         if not self.challenges or not self.responses:
             raise ValidationError("family needs nonempty challenge and response alphabets")
         if len(set(self.challenges)) != len(self.challenges):
             raise ValidationError("duplicate challenge labels")
         if len(set(self.responses)) != len(self.responses):
             raise ValidationError("duplicate response labels")
-        layout = None
-        for y in self.challenges:
-            for z in self.responses:
-                if (y, z) not in self.operators:
-                    raise ValidationError(f"family is missing the operator for {(y, z)}")
-                op = self.operators[(y, z)]
-                if layout is None:
-                    layout = op.layout
-                elif op.layout != layout:
-                    raise LayoutError("family operators live on different layouts")
-        if len(self.operators) != len(self.challenges) * len(self.responses):
-            raise ValidationError("family has operators outside its alphabets")
-
-    @property
-    def layout(self) -> RegisterLayout:
-        return self.operators[(self.challenges[0], self.responses[0])].layout
+        lead = (len(self.challenges), len(self.responses))
+        effects = checked_effects(self.layout, self.effects, lead, "family stack")
+        object.__setattr__(self, "effects", effects)
 
     def op(self, y: str, z: str) -> MeasurementOperator:
-        return self.operators[(y, z)]
+        if y not in self.challenges or z not in self.responses:
+            raise ValidationError(f"family has no effect for {(y, z)}")
+        i, j = self.challenges.index(y), self.responses.index(z)
+        return MeasurementOperator(self.layout, self.effects[i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +583,7 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
             # first), scored by tr(E_z sigma_V) for every z
             blocks = measure_array(rho, dims, basis, m_axes)
             tables[:, :, k, j] = np.einsum("zab,yba->yz", closing_blocks, blocks)
-    ops = {
-        (y, z): MeasurementOperator(spec.m_layout, (table + dagger(table)) / 2)
-        for y, row in zip(labels, tables)
-        for z, table in zip(labels, row)
-    }
-    return MeasurementFamily(labels, labels, ops)
+    return MeasurementFamily(labels, labels, spec.m_layout, (tables + dagger(tables)) / 2)
 
 
 def public_coin_protocol(family: MeasurementFamily) -> ProtocolSpec:
@@ -612,9 +604,9 @@ def public_coin_protocol(family: MeasurementFamily) -> ProtocolSpec:
     joint = m_layout.concat(v_layout)
     projectors = _basis_effects(d)
     flag = np.zeros((joint.total_dim,) * 2, dtype=np.complex128)
-    for x, coin in zip(labels, projectors):
-        for a, answer in zip(labels, projectors):
-            flag += kron_all([answer, family.op(x, a).entries, coin])
+    for coin, row in zip(projectors, family.effects):
+        for answer, effect in zip(projectors, row):
+            flag += kron_all([answer, effect, coin])
     return ProtocolSpec(
         m_layout=m_layout,
         v_layout=v_layout,
@@ -640,10 +632,6 @@ def chsh_protocol() -> tuple[ProtocolSpec, MeasurementFamily]:
     m_layout = RegisterLayout(("M",), (2,))
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     proj = _basis_effects(2)
-    family_ops = {
-        (str(x), str(a)): MeasurementOperator(m_layout, (proj[a] + h @ proj[a ^ x] @ h) / 2)
-        for x in range(2)
-        for a in range(2)
-    }
-    family = MeasurementFamily(("0", "1"), ("0", "1"), family_ops)
+    effects = [[(proj[a] + h @ proj[a ^ x] @ h) / 2 for a in range(2)] for x in range(2)]
+    family = MeasurementFamily(("0", "1"), ("0", "1"), m_layout, effects)
     return public_coin_protocol(family), family

@@ -128,8 +128,8 @@ class RegisterLayout:
         return idx
 
 
-def _check_layout_shape(layout: RegisterLayout, arr: np.ndarray, ndim: int, what: str):
-    want = (layout.total_dim,) * ndim
+def _check_layout_shape(layout: RegisterLayout, arr: np.ndarray, ndim: int, what: str, lead=()):
+    want = tuple(lead) + (layout.total_dim,) * ndim
     if arr.shape != want:
         raise LayoutError(f"{what} has shape {arr.shape}, layout requires {want}")
 
@@ -188,6 +188,23 @@ class DensityMatrix:
         return cls(psi.layout, psi.projector())
 
 
+def checked_effects(layout: RegisterLayout, entries, lead=(), what="measurement operator"):
+    """``entries`` read-only, checked in one pass as a stack of shape lead + (D, D)
+    of effects on ``layout``: Hermitian with spectrum in [0, 1], to tolerance."""
+    mat = _freeze(np.asarray(entries))
+    _check_layout_shape(layout, mat, 2, what, lead)
+    defect = hermiticity_defect(mat)
+    if defect > HERMITIAN_TOL:
+        raise ValidationError(f"effect hermiticity defect {defect:.3e} > {HERMITIAN_TOL}")
+    evs = np.linalg.eigvalsh(mat)
+    lo, hi = evs[..., 0].min(), evs[..., -1].max()
+    if lo < -PSD_TOL or hi > 1.0 + PSD_TOL:
+        raise ValidationError(
+            f"effect spectrum [{lo:.12g}, {hi:.12g}] leaves [-{PSD_TOL}, 1+{PSD_TOL}]"
+        )
+    return mat
+
+
 @dataclass(frozen=True)
 class MeasurementOperator:
     """Hermitian effect with spectrum inside [0, 1] (up to tolerance)."""
@@ -196,17 +213,7 @@ class MeasurementOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = _freeze(np.asarray(self.entries))
-        object.__setattr__(self, "entries", mat)
-        _check_layout_shape(self.layout, mat, 2, "measurement operator")
-        defect = hermiticity_defect(mat)
-        if defect > HERMITIAN_TOL:
-            raise ValidationError(f"effect hermiticity defect {defect:.3e} > {HERMITIAN_TOL}")
-        evs = np.linalg.eigvalsh(mat)
-        if evs[0] < -PSD_TOL or evs[-1] > 1.0 + PSD_TOL:
-            raise ValidationError(
-                f"effect spectrum [{evs[0]:.12g}, {evs[-1]:.12g}] leaves [-{PSD_TOL}, 1+{PSD_TOL}]"
-            )
+        object.__setattr__(self, "entries", checked_effects(self.layout, self.entries))
 
     @classmethod
     def identity(cls, layout: RegisterLayout) -> "MeasurementOperator":

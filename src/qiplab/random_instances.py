@@ -199,8 +199,10 @@ def random_measurement_family(
 ) -> MeasurementFamily:
     challenges = tuple(str(i) for i in range(n_challenges))
     responses = tuple(str(i) for i in range(n_responses))
-    ops = {(y, z): random_effect(rng, layout) for y in challenges for z in responses}
-    return MeasurementFamily(challenges, responses, ops)
+    # drawn challenge by challenge, each challenge's responses in order
+    draws = [random_effect(rng, layout).entries for _ in range(n_challenges * n_responses)]
+    shape = (n_challenges, n_responses) + (layout.total_dim,) * 2
+    return MeasurementFamily(challenges, responses, layout, np.reshape(draws, shape))
 
 
 def random_public_coin_spec(

@@ -104,7 +104,7 @@ def test_choi_of_z_channel():
 
 
 def test_choi_of_constant_prepare():
-    ch = EbChannel.constant(QUBIT, PureState.basis(QUBIT, 0))
+    ch = EbChannel(Povm((MeasurementOperator.identity(QUBIT),)), (PureState.basis(QUBIT, 0),))
     cm = choi(ch)
     want = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
     assert np.allclose(cm.operator.entries, want, atol=1e-12)
@@ -206,6 +206,29 @@ def test_random_eb_channels_are_ppt():
         rng = np.random.default_rng(700 + i)
         report = check_eb_ppt(random_eb_channel(rng, QUBIT, n_outcomes=3))
         assert report.min_eigenvalue >= -1e-10, f"instance {i}"
+
+
+@pytest.mark.parametrize(
+    "d_in, d_out, verdict",
+    [
+        (2, 2, "PPT"),
+        (2, 3, "PPT"),
+        (3, 2, "PPT"),
+        (3, 3, "PPT-inconclusive"),
+        (2, 4, "PPT-inconclusive"),
+    ],
+)
+def test_ppt_certifies_measure_and_prepare_only_up_to_in_times_out_six(d_in, d_out, verdict):
+    # past in * out = 6 a positive partial transpose does not imply separability
+    in_layout, out_layout = RegisterLayout(("A",), (d_in,)), RegisterLayout(("B",), (d_out,))
+    for i in range(10):
+        channel = random_eb_channel(np.random.default_rng(900 + i), in_layout, out_layout)
+        report = check_eb_ppt(channel)
+        assert report.min_eigenvalue >= -1e-10, f"instance {i}"
+        assert report.verdict == verdict, f"instance {i}"
+    # a negative eigenvalue certifies at every size
+    if d_in == d_out:
+        assert check_eb_ppt(KrausChannel.identity(in_layout)).verdict == "NPT"
 
 
 def test_eb_from_separable_choi_z_example():

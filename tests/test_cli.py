@@ -146,16 +146,19 @@ def test_canonicalize_single_instance_emits_a_reloadable_document(tmp_path, caps
     assert float(cells[3]) >= -1e-9
 
 
-def test_eb_check_accepts_a_channel_document(tmp_path):
+def test_eb_check_accepts_a_channel_document(tmp_path, capsys):
     rng = derived_rng(10, "cli-eb")
-    channel = random_eb_channel(rng, RegisterLayout(("M",), (2,)))
-    doc_path = tmp_path / "ch.json"
-    doc_path.write_text(dumps_document(channel_document(channel)) + "\n")
-    csv = tmp_path / "eb1.csv"
-    assert main(["eb-check", "--channel", str(doc_path), "--csv", str(csv)]) == 0
-    cells = csv.read_text().splitlines()[2].split(",")
-    assert cells[1] == "eb"
-    assert cells[3] == "PPT"
+    # past in * out = 6 a positive partial transpose certifies nothing
+    for dim, verdict in ((2, "PPT"), (3, "PPT-inconclusive")):
+        channel = random_eb_channel(rng, RegisterLayout(("M",), (dim,)))
+        doc_path = tmp_path / "ch.json"
+        doc_path.write_text(dumps_document(channel_document(channel)) + "\n")
+        csv = tmp_path / "eb1.csv"
+        assert main(["eb-check", "--channel", str(doc_path), "--csv", str(csv)]) == 0
+        cells = csv.read_text().splitlines()[2].split(",")
+        assert cells[1] == "eb"
+        assert cells[3] == verdict
+        assert "1/1 channel(s) PPT" in capsys.readouterr().out
 
 
 def test_config_file_merges_and_flags_override(tmp_path):
@@ -286,6 +289,21 @@ def test_usage_errors_exit_with_status_two(tmp_path, run_cli):
         assert b"cannot write" in unwritable.stderr
 
 
+@pytest.mark.parametrize("flag", ["csv", "emit"])
+def test_unwritable_paths_are_refused_before_the_runner(tmp_path, capsys, monkeypatch, flag):
+    def runner(params):
+        pytest.fail("the experiment ran although a report path cannot be written")
+
+    monkeypatch.setitem(_COMMANDS, "canonicalize", _COMMANDS["canonicalize"]._replace(run=runner))
+    for bad in (tmp_path / "missing" / "x.out", tmp_path):
+        paths = {"csv": tmp_path / "r.csv", "emit": tmp_path / "c.json", flag: bad}
+        status = main(["canonicalize", "--csv", str(paths["csv"]), "--emit", str(paths["emit"])])
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert err.startswith(f"error: cannot write {bad}"), err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _malformed(case):
     """(protocol document, strategy document) of one malformed instance."""
     rng = derived_rng(9, "cli-doc")
@@ -360,6 +378,39 @@ def test_readme_solver_reports_match_the_recorded_bytes(tmp_path, run_cli, args)
     assert proc.returncode == 0, proc.stderr.decode()
     name = f"{args[0]}.csv"
     assert (tmp_path / name).read_bytes() == (REFERENCE_CSV_DIR / name).read_bytes()
+
+
+# Columns of the reports below whose cells are floats; every other cell, the
+# header and the "# config" line must match the recorded report byte for byte.
+FLOAT_COLUMNS = {"raw_value", "canonical_value", "gain", "threshold", "value", "net_error"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["canonicalize", "--trials", "50", "--seed", "0"],
+        ["nexp-decide", "--c", "0.8", "--s", "0.6", "--resolution", "2000"],
+    ],
+    ids=["canonicalize", "nexp-decide"],
+)
+def test_readme_reports_match_the_recorded_ones_to_1e13(tmp_path, run_cli, args):
+    # these two reports moved in their last digits since they were recorded
+    proc = run_cli(args, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    name = f"{args[0]}.csv"
+    got = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+    want = (REFERENCE_CSV_DIR / name).read_text(encoding="utf-8").splitlines()
+    assert got[:2] == want[:2]
+    assert len(got) == len(want)
+    columns = want[0].split(",")
+    for got_line, want_line in zip(got[2:], want[2:]):
+        got_cells, want_cells = got_line.split(","), want_line.split(",")
+        assert len(got_cells) == len(columns) == len(want_cells), got_line
+        for column, g, w in zip(columns, got_cells, want_cells):
+            if column in FLOAT_COLUMNS:
+                assert abs(float(g) - float(w)) <= 1e-13, (column, got_line, want_line)
+            else:
+                assert g == w, (column, got_line, want_line)
 
 
 def test_cli_children_import_the_package_under_test(tmp_path, cli_env):

@@ -49,8 +49,8 @@ TSIRELSON = (1 + 1 / math.sqrt(2)) / 2
 def diag_family(table: dict[tuple[str, str], tuple[float, float]]) -> MeasurementFamily:
     challenges = tuple(sorted({y for y, _ in table}))
     responses = tuple(sorted({z for _, z in table}))
-    ops = {k: MeasurementOperator(QUBIT, np.diag(v)) for k, v in table.items()}
-    return MeasurementFamily(challenges, responses, ops)
+    effects = [[np.diag(table[y, z]) for z in responses] for y in challenges]
+    return MeasurementFamily(challenges, responses, QUBIT, effects)
 
 
 def test_chsh_exact_classical_value():
@@ -65,34 +65,30 @@ def test_chsh_exact_classical_value():
 
 
 def test_constant_half_family_scores_one_half():
-    ops = {
-        (y, z): MeasurementOperator(QUBIT, np.eye(2) / 2) for y in "01" for z in "01"
-    }
-    fam = MeasurementFamily(("0", "1"), ("0", "1"), ops)
+    half = np.broadcast_to(np.eye(2) / 2, (2, 2, 2, 2))
+    fam = MeasurementFamily(("0", "1"), ("0", "1"), QUBIT, half)
     assert exact_classical_response_value(fam).value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_single_challenge_value_is_the_best_response_eigenvalue():
     rng = derived_rng(3, "single-challenge")
-    ops = {}
+    effects = []
     tops = []
     for z in range(3):
         eff = np.diag(rng.uniform(0, 1, size=2))
-        ops[("0", str(z))] = MeasurementOperator(QUBIT, eff)
+        effects.append(eff)
         tops.append(eff.max())
-    fam = MeasurementFamily(("0",), ("0", "1", "2"), ops)
+    fam = MeasurementFamily(("0",), ("0", "1", "2"), QUBIT, [effects])
     report = exact_classical_response_value(fam)
     assert report.value == pytest.approx(max(tops), abs=1e-12)
 
 
 def test_enumeration_budget_is_enforced():
-    ops = {
-        (str(y), str(z)): MeasurementOperator(QUBIT, np.eye(2) / 2)
-        for y in range(7)
-        for z in range(8)
-    }
     fam = MeasurementFamily(
-        tuple(str(y) for y in range(7)), tuple(str(z) for z in range(8)), ops
+        tuple(str(y) for y in range(7)),
+        tuple(str(z) for z in range(8)),
+        QUBIT,
+        np.broadcast_to(np.eye(2) / 2, (7, 8, 2, 2)),
     )
     with pytest.raises(BudgetError):
         exact_classical_response_value(fam)
@@ -158,10 +154,9 @@ def test_seesaw_three_response_coordinate_ascent_stays_monotone():
 
 
 def test_seesaw_rejects_oversized_response_alphabets():
-    ops = {
-        ("0", str(z)): MeasurementOperator(QUBIT, np.eye(2) / 2) for z in range(9)
-    }
-    fam = MeasurementFamily(("0",), tuple(str(z) for z in range(9)), ops)
+    fam = MeasurementFamily(
+        ("0",), tuple(str(z) for z in range(9)), QUBIT, np.broadcast_to(np.eye(2) / 2, (1, 9, 2, 2))
+    )
     with pytest.raises(BudgetError):
         seesaw_entangled_value(fam)
 
@@ -454,7 +449,7 @@ def _block_loop_net_search(spec, n):
     keeping a strictly better block's best.  A test-only reference."""
     fam = joint_response_operators(spec)
     points, states = fibonacci_sphere_states(n)
-    arr = optimize._family_array(fam)
+    arr = fam.effects
     n_y, n_z = arr.shape[:2]
     y_index = np.arange(n_y)
     tables = itertools.product(range(n_z), repeat=n_y)

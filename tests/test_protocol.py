@@ -737,9 +737,43 @@ def test_spec_validation_catches_shape_and_flag_mistakes():
 
 def test_family_requires_every_challenge_response_pair():
     m_layout = RegisterLayout(("M",), (2,))
-    ident = MeasurementOperator.identity(m_layout)
-    with pytest.raises(ValidationError):
-        MeasurementFamily(("0", "1"), ("0",), {("0", "0"): ident})
+    # one effect for the two (challenge, response) pairs: a stack of the wrong shape
+    with pytest.raises(LayoutError):
+        MeasurementFamily(("0", "1"), ("0",), m_layout, np.eye(2)[None, None])
+    family = MeasurementFamily(("0", "1"), ("0",), m_layout, np.eye(2)[None, None].repeat(2, 0))
+    with pytest.raises(ValidationError, match="no effect"):
+        family.op("0", "1")
+
+
+BAD_EFFECTS = {
+    "not Hermitian": np.array([[0.5, 0.1], [0.0, 0.5]]),
+    "above one": np.diag([1.2, 0.5]),
+    "below zero": np.diag([-0.1, 0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EFFECTS))
+def test_family_refuses_an_effect_as_measurement_operator_does(case):
+    m_layout = RegisterLayout(("M",), (2,))
+    with pytest.raises(ValidationError) as single:
+        MeasurementOperator(m_layout, BAD_EFFECTS[case])
+    effects = np.broadcast_to(np.eye(2) / 2, (2, 3, 2, 2)).copy()
+    effects[1, 2] = BAD_EFFECTS[case]
+    with pytest.raises(ValidationError) as stacked:
+        MeasurementFamily(("0", "1"), ("0", "1", "2"), m_layout, effects)
+    # the other effects have spectrum {1/2}, so the stack's extremes are the bad effect's
+    assert str(stacked.value) == str(single.value)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 3, 3, 3), (3, 2, 2, 2), (2, 3, 2), (6, 2, 2), (2, 3, 2, 2, 1)]
+)
+def test_family_refuses_a_stack_of_the_wrong_shape(shape):
+    m_layout = RegisterLayout(("M",), (2,))
+    with pytest.raises(LayoutError):
+        MeasurementOperator(m_layout, np.eye(3) / 2)
+    with pytest.raises(LayoutError):
+        MeasurementFamily(("0", "1"), ("0", "1", "2"), m_layout, np.zeros(shape))
 
 
 def test_response_dephasing_is_invisible_to_basis_diagonal_flags():
@@ -872,8 +906,9 @@ def test_channels_of_the_wrong_form_are_refused(case):
             canonicalize_prover(*wrong_form_instance(case))
 
 
-def old_public_coin_spec(family):
-    """Test-only copy of the flag construction public_coin_protocol replaced."""
+def old_public_coin_spec(operators):
+    """Test-only copy of the flag construction public_coin_protocol replaced,
+    reading the family as the dict of effects it used to be."""
     m_layout = RegisterLayout(("M",), (2,))
     v_layout = RegisterLayout(("R", "C"), (2, 2))
     joint = m_layout.concat(v_layout)
@@ -884,7 +919,7 @@ def old_public_coin_spec(family):
             proj_a[a, a] = 1.0
             proj_x = np.zeros((2, 2))
             proj_x[x, x] = 1.0
-            flag += kron_all([proj_a, family.op(str(x), str(a)).entries, proj_x])
+            flag += kron_all([proj_a, operators[str(x), str(a)].entries, proj_x])
     return ProtocolSpec(
         m_layout=m_layout,
         v_layout=v_layout,
@@ -898,12 +933,47 @@ def old_public_coin_spec(family):
     )
 
 
+def old_random_operators(rng, layout, n_challenges=2, n_responses=2):
+    """Test-only copy of random_measurement_family's draws as the dict of
+    effects it built before the family became one array."""
+    return {
+        (str(y), str(z)): random_effect(rng, layout)
+        for y in range(n_challenges)
+        for z in range(n_responses)
+    }
+
+
+def old_chsh_operators():
+    """Test-only copy of chsh_protocol's family as the dict it built before
+    the family became one array."""
+    m_layout = RegisterLayout(("M",), (2,))
+    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    proj = np.eye(2)[:, :, None] * np.eye(2)[:, None, :]
+    return {
+        (str(x), str(a)): MeasurementOperator(m_layout, (proj[a] + h @ proj[a ^ x] @ h) / 2)
+        for x in range(2)
+        for a in range(2)
+    }
+
+
 def old_random_public_coin_spec(rng):
     """Test-only copy of the random instance before it used public_coin_protocol."""
-    m_layout = RegisterLayout(("M",), (2,))
-    ops = {(str(x), str(a)): random_effect(rng, m_layout) for x in range(2) for a in range(2)}
-    family = MeasurementFamily(("0", "1"), ("0", "1"), ops)
-    return old_public_coin_spec(family), family
+    operators = old_random_operators(rng, RegisterLayout(("M",), (2,)))
+    return old_public_coin_spec(operators), operators
+
+
+def assert_same_family(family, operators):
+    """The family's array and typed views against a dict of effects, bit for bit."""
+    n_y, n_z = len(family.challenges), len(family.responses)
+    d = family.layout.total_dim
+    assert family.effects.shape == (n_y, n_z, d, d) and len(operators) == n_y * n_z
+    assert family.effects.dtype == np.complex128 and not family.effects.flags.writeable
+    for i, y in enumerate(family.challenges):
+        for j, z in enumerate(family.responses):
+            want = operators[y, z]
+            assert want.layout == family.layout
+            assert family.effects[i, j].tobytes() == want.entries.tobytes()
+            assert family.op(y, z).entries.tobytes() == want.entries.tobytes()
 
 
 def assert_same_spec(a, b):
@@ -920,13 +990,22 @@ def assert_same_spec(a, b):
 
 def test_public_coin_protocol_matches_the_old_flag_bit_for_bit():
     spec, family = chsh_protocol()
-    assert_same_spec(spec, old_public_coin_spec(family))
+    assert_same_spec(spec, old_public_coin_spec(old_chsh_operators()))
+    assert_same_family(family, old_chsh_operators())
     for seed in range(24):
         new_spec, new_family = random_public_coin_spec(derived_rng(seed, "coin-flag"))
-        old_spec, old_family = old_random_public_coin_spec(derived_rng(seed, "coin-flag"))
+        old_spec, old_operators = old_random_public_coin_spec(derived_rng(seed, "coin-flag"))
         assert_same_spec(new_spec, old_spec)
-        for key, op in old_family.operators.items():
-            assert new_family.op(*key).entries.tobytes() == op.entries.tobytes()
+        assert_same_family(new_family, old_operators)
+
+
+@pytest.mark.parametrize("n_y, n_z, d", [(1, 3, 2), (2, 2, 2), (3, 2, 3), (2, 4, 4)])
+def test_random_family_stacks_the_old_draws_bit_for_bit(n_y, n_z, d):
+    layout = RegisterLayout(("M",), (d,))
+    for seed in range(6):
+        family = random_measurement_family(derived_rng(seed, "family"), layout, n_y, n_z)
+        old = old_random_operators(derived_rng(seed, "family"), layout, n_y, n_z)
+        assert_same_family(family, old)
 
 
 @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
@@ -943,7 +1022,7 @@ def test_public_coin_protocol_scores_each_answer_with_its_effect(d, seed):
 
 def test_public_coin_protocol_needs_basis_label_indices():
     m_layout = RegisterLayout(("M",), (2,))
-    ident = MeasurementOperator.identity(m_layout)
-    family = MeasurementFamily(("a", "b"), ("0", "1"), {(y, z): ident for y in "ab" for z in "01"})
+    ident = np.broadcast_to(np.eye(2), (2, 2, 2, 2))
+    family = MeasurementFamily(("a", "b"), ("0", "1"), m_layout, ident)
     with pytest.raises(ValidationError, match="basis labels"):
         public_coin_protocol(family)

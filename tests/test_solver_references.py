@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qiplab import MeasurementOperator, RegisterLayout, optimize
+from qiplab import RegisterLayout, optimize
 from qiplab.optimize import (
     OptimizerConfig,
     exact_classical_response_value,
@@ -100,7 +100,7 @@ def reference_seesaw_restart(fam_arr, w, dim_keep, cfg, restart):
 
 def reference_exact(fam, w):
     """One weight row alone: (value, best table, top eigenvector)."""
-    arr = optimize._family_array(fam) * w[:, None, None, None]
+    arr = fam.effects * w[:, None, None, None]
     n_y, n_z = arr.shape[:2]
     y_index = np.arange(n_y)
     tables = itertools.product(range(n_z), repeat=n_y)
@@ -162,7 +162,7 @@ def test_lockstep_seesaw_equals_one_restart_at_a_time(
     cfg = OptimizerConfig(restarts=restarts, max_iters=max_iters, convergence_tol=tol, seed=seed)
     with mock.patch.object(optimize, "STACK_ELEMENTS", chunk):
         report = seesaw_entangled_value(fam, config=cfg, keep_dim=keep_dim)
-    fam_arr = optimize._family_array(fam)
+    fam_arr = fam.effects
     w = optimize._weight_vector(fam, None)
     runs = [reference_seesaw_restart(fam_arr, w, keep_dim, cfg, r) for r in range(restarts)]
     best = max(range(restarts), key=lambda r: runs[r][0])
@@ -184,7 +184,7 @@ def test_restarts_that_stop_at_different_iterations_share_one_stack():
         cfg = OptimizerConfig(restarts=8, seed=1)
         report = seesaw_entangled_value(fam, config=cfg)
         assert len({len(run) for run in report.iterates}) > 2
-        fam_arr = optimize._family_array(fam)
+        fam_arr = fam.effects
         w = optimize._weight_vector(fam, None)
         runs = [reference_seesaw_restart(fam_arr, w, 2, cfg, r) for r in range(8)]
         assert report.iterates == tuple(run[1] for run in runs)
@@ -193,6 +193,16 @@ def test_restarts_that_stop_at_different_iterations_share_one_stack():
 
 # ---------------------------------------------------------------------------
 # exhaustive search and subsampling
+
+
+@given(n_y=st.integers(1, 5), n_z=st.integers(1, 5), chunk=st.integers(1, 40))
+def test_response_tables_run_in_product_order(n_y, n_z, chunk):
+    want = [list(table) for table in itertools.product(range(n_z), repeat=n_y)]
+    with mock.patch.object(optimize, "STACK_ELEMENTS", chunk):
+        chunks = optimize._chunks(len(want), 1)
+        blocks = [optimize._response_tables(n_y, n_z, maps) for maps in chunks]
+    assert all(block.dtype == np.intp for block in blocks)
+    assert [row for block in blocks for row in block.tolist()] == want
 
 
 @settings(max_examples=40)
@@ -234,8 +244,7 @@ def test_stacked_exhaustive_search_equals_the_reference(fam, raw, chunk):
 def test_ties_go_to_the_lowest_map_index_across_chunks():
     layout = RegisterLayout(("M",), (2,))
     labels = ("0", "1", "2")
-    flat = MeasurementOperator(layout, np.eye(2) / 3)
-    fam = MeasurementFamily(labels, labels, {(y, z): flat for y in labels for z in labels})
+    fam = MeasurementFamily(labels, labels, layout, np.broadcast_to(np.eye(2) / 3, (3, 3, 2, 2)))
     for chunk in (1, 8, 2**20):
         with mock.patch.object(optimize, "STACK_ELEMENTS", chunk):
             report = exact_classical_response_value(fam)
