@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DecompositionError, LayoutError, ValidationError
+from .errors import BudgetError, DecompositionError, LayoutError, ValidationError
 from .qmath import (
     COMPLETENESS_TOL,
     DensityMatrix,
@@ -29,6 +29,7 @@ from .qmath import (
     RegisterLayout,
     adjoint_kraus_array,
     dagger,
+    frozen,
     hermitian_eig,
     max_abs,
     partial_trace_array,
@@ -38,32 +39,28 @@ from .qmath import (
 TRACE_PRESERVING_TOL = 1e-8
 CHOI_EQUAL_TOL = 1e-9
 NPT_TOL = 1e-9
-
-
-def _frozen_ops(ops, shape) -> tuple[np.ndarray, ...]:
-    out = []
-    for i, k in enumerate(ops):
-        arr = np.array(np.asarray(k), dtype=np.complex128, order="C")
-        if arr.shape != shape:
-            raise LayoutError(f"Kraus operator {i} has shape {arr.shape}, expected {shape}")
-        arr.setflags(write=False)
-        out.append(arr)
-    return tuple(out)
+# Largest in_dim * out_dim that choi accepts.  The Choi state is a dense
+# (in_dim * out_dim)^2 complex matrix, and the PPT test diagonalizes it and
+# its partial transpose: at 1024 a fresh `eb-check --channel` process takes
+# 1-2 s and about 100 MB peak on a 2-core host; at in = out = 64 it ran past
+# 25 s, and at 128 each copy of the state would take 4.3 GB.
+CHOI_DIMENSION_BUDGET = 1024
 
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Channel given by operators K_i with sum_i K_i^dag K_i = identity."""
+    """Channel given by operators K_i with sum_i K_i^dag K_i = identity, stacked
+    as ``kraus_ops``: one read-only complex array of shape (k, d_out, d_in)."""
 
     in_layout: RegisterLayout
     out_layout: RegisterLayout
-    kraus_ops: tuple[np.ndarray, ...]
+    kraus_ops: np.ndarray
 
     def __post_init__(self):
-        shape = (self.out_layout.total_dim, self.in_layout.total_dim)
-        ops = _frozen_ops(self.kraus_ops, shape)
-        if not ops:
+        if len(self.kraus_ops) == 0:
             raise ValidationError("channel needs at least one Kraus operator")
+        shape = (len(self.kraus_ops), self.out_layout.total_dim, self.in_layout.total_dim)
+        ops = frozen(self.kraus_ops, shape, "Kraus operator")
         object.__setattr__(self, "kraus_ops", ops)
         total = sum(dagger(k) @ k for k in ops)
         defect = max_abs(total - np.eye(self.in_layout.total_dim))
@@ -115,7 +112,7 @@ class EbChannel:
         the displayed measure-and-prepare sum exactly.
         """
         ops = []
-        for effect, prep in zip(self.povm.elements, self.preps):
+        for effect, prep in zip(self.povm.effects, self.preps):
             vals, vecs = hermitian_eig(effect)
             root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ dagger(vecs)
             for row in root:
@@ -142,8 +139,8 @@ def apply_eb(channel: EbChannel, rho: DensityMatrix) -> DensityMatrix:
             f"state dims {rho.layout.dims} do not match channel input {channel.in_layout.dims}"
         )
     out = np.zeros((channel.out_layout.total_dim,) * 2, dtype=np.complex128)
-    for effect, prep in zip(channel.povm.elements, channel.preps):
-        weight = float(np.trace(effect.entries @ rho.entries).real)
+    for effect, prep in zip(channel.povm.effects, channel.preps):
+        weight = float(np.trace(effect @ rho.entries).real)
         out += weight * prep.projector()
     return DensityMatrix(channel.out_layout, out)
 
@@ -201,10 +198,15 @@ def choi(channel: KrausChannel | EbChannel) -> ChoiMatrix:
     """
     d_in = channel.in_layout.total_dim
     d_out = channel.out_layout.total_dim
+    if d_in * d_out > CHOI_DIMENSION_BUDGET:
+        raise BudgetError(
+            f"Choi state of dimension {d_in} * {d_out} = {d_in * d_out} "
+            f"exceeds the budget {CHOI_DIMENSION_BUDGET}"
+        )
     if isinstance(channel, EbChannel):
         mat = np.zeros((d_in * d_out,) * 2, dtype=np.complex128)
-        for effect, prep in zip(channel.povm.elements, channel.preps):
-            mat += np.kron(effect.entries.T, prep.projector())
+        for effect, prep in zip(channel.povm.effects, channel.preps):
+            mat += np.kron(effect.T, prep.projector())
         mat /= d_in
     elif isinstance(channel, KrausChannel):
         mat = np.zeros((d_in * d_out,) * 2, dtype=np.complex128)
@@ -280,7 +282,5 @@ def eb_from_separable_choi(
         raise DecompositionError(
             f"measurement side fails to resolve the identity (defect {defect:.3e})"
         )
-    elements = tuple(
-        MeasurementOperator(in_layout, d * p * v.projector()) for p, v, _ in terms
-    )
-    return EbChannel(Povm(elements), tuple(w for _, _, w in terms))
+    effects = [d * p * v.projector() for p, v, _ in terms]
+    return EbChannel(Povm(in_layout, effects), tuple(w for _, _, w in terms))

@@ -146,7 +146,7 @@ def channel_document(channel: KrausChannel | EbChannel) -> dict[str, Any]:
     if isinstance(channel, EbChannel):
         return {
             "form": "eb",
-            "povm": [_encode_array(e.entries) for e in channel.povm.elements],
+            "povm": [_encode_array(e) for e in channel.povm.effects],
             "preps": [_encode_array(p.amplitudes) for p in channel.preps],
             **base,
         }
@@ -164,9 +164,9 @@ def channel_from_document(doc: Mapping[str, Any]) -> KrausChannel | EbChannel:
             return KrausChannel(in_layout, out_layout, ops)
         if form == "eb":
             square, vector = (in_layout.total_dim,) * 2, (out_layout.total_dim,)
-            effects = [MeasurementOperator(in_layout, _decode_array(p, square)) for p in doc["povm"]]
+            effects = [_decode_array(p, square) for p in doc["povm"]]
             preps = [PureState(out_layout, _decode_array(p, vector)) for p in doc["preps"]]
-            return EbChannel(Povm(tuple(effects)), tuple(preps))
+            return EbChannel(Povm(in_layout, effects), tuple(preps))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed channel document: {exc}") from exc
     raise ValidationError(f"unknown channel form {form!r}")

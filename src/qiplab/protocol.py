@@ -54,6 +54,7 @@ from .qmath import (
     RegisterLayout,
     adjoint_kraus_array,
     apply_kraus_array,
+    basis_projectors,
     checked_effects,
     dagger,
     dephase_axes,
@@ -273,12 +274,6 @@ def _zero_state(dim: int) -> np.ndarray:
     return rho
 
 
-def _basis_effects(dim: int) -> np.ndarray:
-    """Stack of the computational-basis projectors |y><y| of one register set."""
-    eye = np.eye(dim)
-    return eye[:, :, None] * eye[:, None, :]
-
-
 def _closing_effect(spec: ProtocolSpec) -> np.ndarray:
     """v2^dag(accept) on (M, V): the verifier's last channel and flag as one effect.
 
@@ -313,25 +308,25 @@ def _emission(channel: EbChannel, reads: RegisterLayout, writes: RegisterLayout,
     if dims != (reads.dims, writes.dims):
         raise LayoutError(f"{what} maps dims {dims[0]}->{dims[1]}, not {reads.dims}->{writes.dims}")
     zero = np.eye(reads.total_dim // writes.total_dim)[0]
-    effects = [e.entries for e in channel.povm.elements]
-    return effects, [np.kron(zero, p.amplitudes) for p in channel.preps]
+    return channel.povm.effects, [np.kron(zero, p.amplitudes) for p in channel.preps]
 
 
 class _Move(NamedTuple):
     """Kraus operators on kraus_axes (P, M), then an emission: the effects
-    measured and the vectors prepared on emit_axes (S, M).  Either may be empty."""
+    measured and the vectors prepared on emit_axes (S, M).  Each is a stack
+    along its first axis, and either may be empty."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     kraus_axes: tuple[int, ...]
-    effects: list[np.ndarray]
-    preps: list[np.ndarray]
+    effects: np.ndarray
+    preps: np.ndarray
     emit_axes: tuple[int, ...]
 
 
 def _apply_move(rho: np.ndarray, dims, move: _Move) -> np.ndarray:
-    if move.kraus:
+    if len(move.kraus):
         rho = apply_kraus_array(rho, dims, move.kraus, move.kraus_axes)
-    if move.effects:
+    if len(move.effects):
         blocks = measure_array(rho, dims, move.effects, move.emit_axes)
         rho = prepare_array(blocks, dims, move.preps, move.emit_axes)
     return rho
@@ -394,7 +389,7 @@ def _prover_moves(spec: ProtocolSpec, prover: ProverStrategy, fold: bool = False
     response = _Move((), (), *_emission(respond, m_layout, m_layout, "response channel"), pm_axes)
     if psi is None:
         return layout, None, response
-    opening = _Move((), (), [np.eye(m_layout.total_dim)], [psi.amplitudes], pm_axes)
+    opening = _Move((), (), np.eye(m_layout.total_dim)[None], psi.amplitudes[None], pm_axes)
     return layout, opening, response
 
 
@@ -421,7 +416,7 @@ def _opening_blocks(spec: ProtocolSpec) -> np.ndarray:
     Measuring M in its basis zeroes what dephasing the challenge would."""
     full, m_axes = _geometry(spec)
     rho = _apply_move(_zero_state(full.total_dim), full.dims, _challenge(spec, full))
-    return measure_array(rho, full.dims, _basis_effects(spec.m_layout.total_dim), m_axes)
+    return measure_array(rho, full.dims, basis_projectors(spec.m_layout.total_dim), m_axes)
 
 
 def classical_response_channel(layout: RegisterLayout, responses: Mapping[str, str]) -> EbChannel:
@@ -487,7 +482,7 @@ def postselected_acceptance(spec: ProtocolSpec, y: str, z: str) -> float:
     p_y = float(np.trace(block).real)
     if p_y <= CONDITIONING_TOL:
         raise ConditioningError(f"challenge {y!r} has probability {p_y!r}; cannot condition")
-    z_effect = _basis_effects(spec.m_layout.total_dim)[spec.m_layout.basis_index(z), None]
+    z_effect = basis_projectors(spec.m_layout.total_dim)[spec.m_layout.basis_index(z), None]
     e_z = measure_array(_closing_effect(spec), full.dims, z_effect, m_axes)[0]
     p = float(np.trace(e_z @ block).real) / p_y
     return checked_probability(p, "conditional acceptance")
@@ -532,7 +527,7 @@ def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStr
         sigma_r = (sigma_r + dagger(sigma_r)) / 2
         lens = np.kron(sigma_r, zero_s)
         folded = [measure_array(a, dims, [lens], r_axes + s_axes)[0] for a in pulled]
-        povm = Povm(tuple(MeasurementOperator(spec.m_layout, g) for g in folded))
+        povm = Povm(spec.m_layout, folded)
         candidate = CanonicalStrategy(prep, EbChannel(povm, raw.emit2.preps))
         value = acceptance_probability(spec, candidate)
         if best is None or value > best[0]:
@@ -568,7 +563,7 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
     d_m = spec.m_layout.total_dim
     labels = spec.m_layout.basis_labels()
     v_zero = _zero_state(spec.v_layout.total_dim)
-    basis = _basis_effects(d_m)
+    basis = basis_projectors(d_m)
     kets = np.eye(d_m)
     closing_blocks = measure_array(_closing_effect(spec), dims, basis, m_axes)
     # tables[y, z] is N_{y,z} before symmetrization
@@ -602,7 +597,7 @@ def public_coin_protocol(family: MeasurementFamily) -> ProtocolSpec:
     d = m_layout.total_dim
     v_layout = RegisterLayout(("R", "C"), (d, d))
     joint = m_layout.concat(v_layout)
-    projectors = _basis_effects(d)
+    projectors = basis_projectors(d)
     flag = np.zeros((joint.total_dim,) * 2, dtype=np.complex128)
     for coin, row in zip(projectors, family.effects):
         for answer, effect in zip(projectors, row):
@@ -631,7 +626,7 @@ def chsh_protocol() -> tuple[ProtocolSpec, MeasurementFamily]:
     """
     m_layout = RegisterLayout(("M",), (2,))
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    proj = _basis_effects(2)
+    proj = basis_projectors(2)
     effects = [[(proj[a] + h @ proj[a ^ x] @ h) / 2 for a in range(2)] for x in range(2)]
     family = MeasurementFamily(("0", "1"), ("0", "1"), m_layout, effects)
     return public_coin_protocol(family), family

@@ -3,7 +3,7 @@
 Registers are addressed by string label through a RegisterLayout; the first
 register is the most significant index (row-major basis ordering).  All
 state and operator types validate their defining invariants at construction
-and hold read-only arrays, so instances may be shared freely across threads.
+and hold read-only arrays.
 
 The array helpers work on plain D x D arrays and address registers by
 axis: reorder_array moves registers, apply_kraus_array applies Kraus
@@ -34,10 +34,35 @@ COMPLETENESS_TOL = 1e-8
 EIG_RECONSTRUCT_TOL = 1e-9
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def frozen(entries, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``entries`` as a read-only complex array of ``shape``, else a LayoutError.
+
+    A ragged stack, whose items numpy cannot stack, is refused like any other
+    misshaped one: the error names its first item of the wrong shape.
+    """
+    try:
+        arr = np.asarray(entries)
+    except ValueError:  # numpy's refusal of items of different shapes
+        raise _ragged(entries, shape, what) from None
+    if arr.shape != shape:
+        raise LayoutError(f"{what} has shape {arr.shape}, layout requires {shape}")
     out = np.array(arr, dtype=np.complex128, order="C")
     out.setflags(write=False)
     return out
+
+
+def _ragged(entries, shape: tuple[int, ...], what: str, at: tuple[int, ...] = ()) -> LayoutError:
+    """The error for a ragged ``entries``: its first item, by index along the
+    leading axes, whose shape is not that of one item of ``shape``."""
+    for i, item in enumerate(entries):
+        try:
+            got = np.shape(item)
+        except ValueError:  # the item is ragged itself
+            return _ragged(item, shape[1:], what, at + (i,))
+        if got != shape[1:]:
+            where = ", ".join(str(k) for k in at + (i,))
+            return LayoutError(f"{what} {where} has shape {got}, expected {shape[1:]}")
+    return LayoutError(f"{what} does not stack to shape {shape}")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -128,12 +153,6 @@ class RegisterLayout:
         return idx
 
 
-def _check_layout_shape(layout: RegisterLayout, arr: np.ndarray, ndim: int, what: str, lead=()):
-    want = tuple(lead) + (layout.total_dim,) * ndim
-    if arr.shape != want:
-        raise LayoutError(f"{what} has shape {arr.shape}, layout requires {want}")
-
-
 @dataclass(frozen=True)
 class PureState:
     """Unit vector over a register layout."""
@@ -142,9 +161,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _freeze(np.asarray(self.amplitudes).reshape(-1))
+        amps = frozen(np.ravel(self.amplitudes), (self.layout.total_dim,), "state vector")
         object.__setattr__(self, "amplitudes", amps)
-        _check_layout_shape(self.layout, amps, 1, "state vector")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(f"state norm {norm!r} differs from 1 by more than {NORM_TOL}")
@@ -170,9 +188,8 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = _freeze(np.asarray(self.entries))
+        mat = frozen(self.entries, (self.layout.total_dim,) * 2, "density matrix")
         object.__setattr__(self, "entries", mat)
-        _check_layout_shape(self.layout, mat, 2, "density matrix")
         defect = hermiticity_defect(mat)
         if defect > HERMITIAN_TOL:
             raise ValidationError(f"density matrix hermiticity defect {defect:.3e} > {HERMITIAN_TOL}")
@@ -191,8 +208,7 @@ class DensityMatrix:
 def checked_effects(layout: RegisterLayout, entries, lead=(), what="measurement operator"):
     """``entries`` read-only, checked in one pass as a stack of shape lead + (D, D)
     of effects on ``layout``: Hermitian with spectrum in [0, 1], to tolerance."""
-    mat = _freeze(np.asarray(entries))
-    _check_layout_shape(layout, mat, 2, what, lead)
+    mat = frozen(entries, tuple(lead) + (layout.total_dim,) * 2, what)
     defect = hermiticity_defect(mat)
     if defect > HERMITIAN_TOL:
         raise ValidationError(f"effect hermiticity defect {defect:.3e} > {HERMITIAN_TOL}")
@@ -222,40 +238,37 @@ class MeasurementOperator:
 
 @dataclass(frozen=True)
 class Povm:
-    """Ordered effects on a shared layout that resolve the identity."""
+    """Effects on one layout that resolve the identity.
 
-    elements: tuple[MeasurementOperator, ...]
+    ``effects[l]`` is the effect of outcome l: one read-only complex array of
+    shape (L, D, D), checked as MeasurementOperator checks one effect.
+    """
+
+    layout: RegisterLayout
+    effects: np.ndarray
 
     def __post_init__(self):
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
-        if not elems:
+        if len(self.effects) == 0:
             raise ValidationError("POVM needs at least one element")
-        layout = elems[0].layout
-        for e in elems[1:]:
-            if e.layout != layout:
-                raise LayoutError("POVM elements live on different layouts")
-        total = sum(e.entries for e in elems)
-        defect = max_abs(total - np.eye(layout.total_dim))
+        lead = (len(self.effects),)
+        effects = checked_effects(self.layout, self.effects, lead, "POVM effect")
+        object.__setattr__(self, "effects", effects)
+        defect = max_abs(sum(effects) - np.eye(self.layout.total_dim))
         if defect > COMPLETENESS_TOL:
             raise ValidationError(f"POVM completeness defect {defect:.3e} > {COMPLETENESS_TOL}")
 
-    @property
-    def layout(self) -> RegisterLayout:
-        return self.elements[0].layout
-
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.effects)
 
     @classmethod
     def computational(cls, layout: RegisterLayout) -> "Povm":
-        d = layout.total_dim
-        elems = []
-        for k in range(d):
-            m = np.zeros((d, d))
-            m[k, k] = 1.0
-            elems.append(MeasurementOperator(layout, m))
-        return cls(tuple(elems))
+        return cls(layout, basis_projectors(layout.total_dim))
+
+
+def basis_projectors(dim: int) -> np.ndarray:
+    """Stack of the computational-basis projectors |k><k|, k < dim."""
+    eye = np.eye(dim)
+    return eye[:, :, None] * eye[:, None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,7 @@ def random_povm(rng: np.random.Generator, layout: RegisterLayout, n_outcomes: in
     total = sum(parts)
     vals, vecs = hermitian_eig(total)
     inv_root = (vecs / np.sqrt(vals)) @ dagger(vecs)
-    elements = tuple(
-        MeasurementOperator(layout, inv_root @ p @ inv_root) for p in parts
-    )
-    return Povm(elements)
+    return Povm(layout, [inv_root @ p @ inv_root for p in parts])
 
 
 def random_kraus_channel(
@@ -90,8 +87,7 @@ def random_kraus_channel(
         )
     g = rng.normal(size=(n_kraus * d_out, d_in)) + 1j * rng.normal(size=(n_kraus * d_out, d_in))
     q, _ = np.linalg.qr(g)
-    ops = tuple(q[i * d_out : (i + 1) * d_out, :] for i in range(n_kraus))
-    return KrausChannel(in_layout, out_layout, ops)
+    return KrausChannel(in_layout, out_layout, q.reshape(n_kraus, d_out, d_in))
 
 
 def random_eb_channel(

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from qiplab.channels import (
+    CHOI_DIMENSION_BUDGET,
     ChoiMatrix,
     EbChannel,
     KrausChannel,
@@ -17,7 +18,7 @@ from qiplab.channels import (
     choi,
     eb_from_separable_choi,
 )
-from qiplab.errors import DecompositionError, LayoutError, ValidationError
+from qiplab.errors import BudgetError, DecompositionError, LayoutError, ValidationError
 from qiplab.qmath import (
     DensityMatrix,
     MeasurementOperator,
@@ -25,6 +26,8 @@ from qiplab.qmath import (
     PureState,
     RegisterLayout,
     born_probability,
+    dagger,
+    hermitian_eig,
     tensor,
 )
 from qiplab.random_instances import (
@@ -32,10 +35,12 @@ from qiplab.random_instances import (
     random_eb_channel,
     random_effect,
     random_kraus_channel,
+    random_povm,
     random_pure,
     random_separable_choi_terms,
     random_unit_vector,
 )
+from qiplab.utils import derived_rng
 
 QUBIT = RegisterLayout(("M",), (2,))
 BELL = np.array([1, 0, 0, 1]) / math.sqrt(2)
@@ -49,11 +54,21 @@ def z_measure_prepare() -> EbChannel:
 
 
 def test_kraus_validation():
-    KrausChannel.identity(QUBIT)
+    ops = KrausChannel.identity(QUBIT).kraus_ops
+    assert ops.shape == (1, 2, 2) and ops.dtype == np.complex128 and not ops.flags.writeable
     with pytest.raises(ValidationError):
         KrausChannel(QUBIT, QUBIT, (np.eye(2) * 0.5,))
+    with pytest.raises(ValidationError):
+        KrausChannel(QUBIT, QUBIT, ())
+    with pytest.raises(ValidationError):
+        KrausChannel(QUBIT, QUBIT, np.zeros((0, 2, 2)))
     with pytest.raises(LayoutError):
         KrausChannel(QUBIT, QUBIT, (np.eye(3),))
+    # a rectangular channel from a pair to a qubit needs 2 x 4 operators
+    pair = RegisterLayout(("A", "B"), (2, 2))
+    for misshaped in (np.eye(2), np.ones((1, 4, 2)) / 2, np.eye(4)[None]):
+        with pytest.raises(LayoutError):
+            KrausChannel(pair, QUBIT, misshaped)
 
 
 def test_apply_kraus_identity_is_noop():
@@ -104,10 +119,31 @@ def test_choi_of_z_channel():
 
 
 def test_choi_of_constant_prepare():
-    ch = EbChannel(Povm((MeasurementOperator.identity(QUBIT),)), (PureState.basis(QUBIT, 0),))
+    ch = EbChannel(Povm(QUBIT, [np.eye(2)]), (PureState.basis(QUBIT, 0),))
     cm = choi(ch)
     want = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
     assert np.allclose(cm.operator.entries, want, atol=1e-12)
+
+
+def test_choi_refuses_a_state_past_the_budget_before_allocating(monkeypatch):
+    wide = RegisterLayout(("A",), (33,))
+    side = RegisterLayout(("B",), (CHOI_DIMENSION_BUDGET // 2 + 1,))
+    too_large = (
+        KrausChannel.identity(wide),
+        EbChannel(Povm(QUBIT, [np.eye(2)]), (PureState.basis(side, 0),)),
+    )
+
+    def no_allocation(*args, **kwargs):
+        pytest.fail("the Choi state was allocated past the budget")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    for channel in too_large:
+        with pytest.raises(BudgetError, match="budget"):
+            check_eb_ppt(channel)
+    monkeypatch.undo()
+    # at the budget itself the state is built
+    edge = RegisterLayout(("A",), (32,))
+    assert choi(KrausChannel.identity(edge)).operator.entries.shape == (1024, 1024)
 
 
 def test_choi_marginal_validation():
@@ -284,3 +320,59 @@ def test_eb_from_separable_choi_errors():
         eb_from_separable_choi(2, [(-0.2, good, good), (1.2, PureState.basis(QUBIT, 1), good)])
     with pytest.raises(DecompositionError):
         eb_from_separable_choi(2, [(1.0, good, good)])  # 2|0><0| != I
+
+
+def old_effects(layout, matrices):
+    """Test-only copy of the old tuple format: each effect frozen on its own."""
+    return [MeasurementOperator(layout, m).entries for m in matrices]
+
+
+def old_random_povm(rng, layout, n_outcomes):
+    d = layout.total_dim
+    parts = []
+    for _ in range(n_outcomes):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        parts.append(g @ dagger(g))
+    vals, vecs = hermitian_eig(sum(parts))
+    inv_root = (vecs / np.sqrt(vals)) @ dagger(vecs)
+    return old_effects(layout, [inv_root @ p @ inv_root for p in parts])
+
+
+def old_random_kraus_ops(rng, d_in, d_out, n_kraus):
+    g = rng.normal(size=(n_kraus * d_out, d_in)) + 1j * rng.normal(size=(n_kraus * d_out, d_in))
+    q, _ = np.linalg.qr(g)
+    blocks = [q[i * d_out : (i + 1) * d_out, :] for i in range(n_kraus)]
+    return [np.array(k, dtype=np.complex128) for k in blocks]
+
+
+def assert_same_stack(stack, old):
+    assert stack.dtype == np.complex128 and not stack.flags.writeable
+    assert stack.shape == (len(old),) + old[0].shape
+    assert [m.tobytes() for m in stack] == [m.tobytes() for m in old]
+
+
+@pytest.mark.parametrize("d_in, d_out, count", [(2, 2, 1), (2, 3, 3), (3, 2, 2), (4, 4, 5)])
+def test_stacks_match_the_old_tuples_bit_for_bit(d_in, d_out, count):
+    lay_in, lay_out = RegisterLayout(("A",), (d_in,)), RegisterLayout(("B",), (d_out,))
+    old_basis = []
+    for k in range(d_in):
+        m = np.zeros((d_in, d_in))
+        m[k, k] = 1.0
+        old_basis.append(m)
+    assert_same_stack(Povm.computational(lay_in).effects, old_effects(lay_in, old_basis))
+    for seed in range(6):
+        rng, old_rng = derived_rng(seed, "stack"), derived_rng(seed, "stack")
+        povm = random_povm(rng, lay_in, count)
+        assert_same_stack(povm.effects, old_random_povm(old_rng, lay_in, count))
+        eb = random_eb_channel(rng, lay_in, lay_out, count)
+        assert_same_stack(eb.povm.effects, old_random_povm(old_rng, lay_in, count))
+        old_preps = [random_pure(old_rng, lay_out).amplitudes for _ in range(count)]
+        assert [p.amplitudes.tobytes() for p in eb.preps] == [p.tobytes() for p in old_preps]
+        n_kraus = count + d_in // d_out
+        kraus = random_kraus_channel(rng, lay_in, lay_out, n_kraus).kraus_ops
+        assert_same_stack(kraus, old_random_kraus_ops(old_rng, d_in, d_out, n_kraus))
+        terms = random_separable_choi_terms(rng, lay_in, lay_out, count)
+        eb = eb_from_separable_choi(d_in, terms)
+        old = old_effects(lay_in, [d_in * p * v.projector() for p, v, _ in terms])
+        assert_same_stack(eb.povm.effects, old)
+        assert all(new is w for new, (_, _, w) in zip(eb.preps, terms, strict=True))

@@ -282,6 +282,16 @@ def test_usage_errors_exit_with_status_two(tmp_path, run_cli):
         assert refused.returncode == 2, refused.stderr.decode()
         assert b"budget" in refused.stderr
         assert elapsed < 1.0, f"refusing {args} took {elapsed:.2f} s"
+    # a channel whose Choi state, of dimension 33 * 33, is past the budget
+    doc = tmp_path / "wide.json"
+    wide = qiplab.RegisterLayout(("A",), (33,))
+    doc.write_text(dumps_document(channel_document(KrausChannel.identity(wide))) + "\n")
+    start = time.perf_counter()
+    refused = run_cli(["eb-check", "--channel", str(doc), "--csv", "x.csv"], cwd=tmp_path)
+    elapsed = time.perf_counter() - start
+    assert refused.returncode == 2, refused.stderr.decode()
+    assert b"budget" in refused.stderr
+    assert elapsed < 1.0, f"refusing the 33 x 33 Choi state took {elapsed:.2f} s"
     # a report that cannot be written: a missing directory, or a directory
     for path in (tmp_path / "missing" / "x.csv", tmp_path):
         unwritable = run_cli(["amplify", "--csv", str(path)], cwd=tmp_path)

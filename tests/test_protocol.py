@@ -39,6 +39,7 @@ from qiplab.protocol import (
 from qiplab.qmath import (
     Povm,
     apply_kraus_array,
+    basis_projectors,
     dephase_axes,
     kron_all,
     measure_array,
@@ -181,7 +182,7 @@ def kraus_form_fold(spec, raw):
     rho1 = apply_kraus_array(
         protocol._zero_state(math.prod(dims)), dims, raw.mix1.kraus_ops, tuple(range(len(dims)))
     )
-    effects = [e.entries for e in raw.emit1.povm.elements]
+    effects = raw.emit1.povm.effects
     blocks = measure_array(rho1, dims, effects, s_axes + m_axes)
     mix2_ops = [reorder_array(k, dims, r_axes + s_axes + m_axes) for k in raw.mix2.kraus_ops]
     s_layout = workspace.subset(raw.eb_labels)
@@ -204,7 +205,9 @@ def kraus_form_fold(spec, raw):
         ]
         lam_ops = [t @ k @ j for j in insert_ops for k in mix2_ops for t in trace_ops]
         lam = KrausChannel(spec.m_layout, s_layout.concat(spec.m_layout), tuple(lam_ops))
-        povm = Povm(tuple(adjoint_apply(lam, f) for f in raw.emit2.povm.elements))
+        emit2 = raw.emit2.povm
+        pulled = [adjoint_apply(lam, MeasurementOperator(emit2.layout, f)) for f in emit2.effects]
+        povm = Povm(spec.m_layout, [g.entries for g in pulled])
         candidate = CanonicalStrategy(prep, EbChannel(povm, raw.emit2.preps))
         value = acceptance_probability(spec, candidate)
         if best is None or value > best[0]:
@@ -221,8 +224,9 @@ def test_fold_matches_the_kraus_form_fold(w_dim, s_dim, v_dim, classical, seed):
     assert np.max(np.abs(sigma_r - sigma_r.T)) > 1e-6
     got = canonicalize_prover(spec, raw)
     assert got.first_message is want.first_message
-    for g, w in zip(got.respond.povm.elements, want.respond.povm.elements, strict=True):
-        assert np.max(np.abs(g.entries - w.entries)) < 1e-13
+    assert got.respond.povm.layout == want.respond.povm.layout
+    for g, w in zip(got.respond.povm.effects, want.respond.povm.effects, strict=True):
+        assert np.max(np.abs(g - w)) < 1e-13
 
 
 def test_single_branch_canonicalization_is_exact():
@@ -548,7 +552,7 @@ def applied_opening_blocks(spec):
     full = spec.joint_layout()
     m_axes, v_axes = full.axes(spec.m_layout.names), full.axes(spec.v_layout.names)
     rho = applied_challenge(spec, protocol._zero_state(full.total_dim), full.dims, m_axes, v_axes, full)
-    return measure_array(rho, full.dims, protocol._basis_effects(spec.m_layout.total_dim), m_axes)
+    return measure_array(rho, full.dims, basis_projectors(spec.m_layout.total_dim), m_axes)
 
 
 def applied_postselected(spec, y, z):
@@ -556,7 +560,7 @@ def applied_postselected(spec, y, z):
     m_axes = full.axes(spec.m_layout.names)
     block = applied_opening_blocks(spec)[spec.m_layout.basis_index(y)]
     p_y = float(np.trace(block).real)
-    z_effect = protocol._basis_effects(spec.m_layout.total_dim)[spec.m_layout.basis_index(z), None]
+    z_effect = basis_projectors(spec.m_layout.total_dim)[spec.m_layout.basis_index(z), None]
     e_z = measure_array(protocol._closing_effect(spec), full.dims, z_effect, m_axes)[0]
     return protocol.checked_probability(float(np.trace(e_z @ block).real) / p_y)
 
@@ -568,7 +572,7 @@ def applied_family(spec):
     m_axes, v_axes = full.axes(spec.m_layout.names), full.axes(spec.v_layout.names)
     d_m = spec.m_layout.total_dim
     v_zero = protocol._zero_state(spec.v_layout.total_dim)
-    basis = protocol._basis_effects(d_m)
+    basis = basis_projectors(d_m)
     kets = np.eye(d_m)
     closing_blocks = measure_array(protocol._closing_effect(spec), dims, basis, m_axes)
     tables = np.zeros((d_m, d_m, d_m, d_m), dtype=np.complex128)
@@ -774,6 +778,19 @@ def test_family_refuses_a_stack_of_the_wrong_shape(shape):
         MeasurementOperator(m_layout, np.eye(3) / 2)
     with pytest.raises(LayoutError):
         MeasurementFamily(("0", "1"), ("0", "1", "2"), m_layout, np.zeros(shape))
+
+
+def test_ragged_stacks_are_layout_errors():
+    # numpy cannot stack items of different shapes; each format names the first misfit
+    qubit = RegisterLayout(("M",), (2,))
+    with pytest.raises(LayoutError, match=r"family stack 0, 1 has shape \(3, 3\), expected \(2, 2\)"):
+        MeasurementFamily(("0",), ("0", "1"), qubit, [[np.eye(2) / 2, np.eye(3) / 2]])
+    with pytest.raises(LayoutError, match=r"POVM effect 1 has shape \(3, 3\), expected \(2, 2\)"):
+        Povm(qubit, [np.eye(2), np.eye(3)])
+    with pytest.raises(LayoutError, match=r"Kraus operator 1 has shape \(3, 3\), expected \(2, 2\)"):
+        KrausChannel(qubit, qubit, (np.eye(2), np.eye(3)))
+    with pytest.raises(LayoutError, match=r"Kraus operator 0 has shape \(2, 2\), expected \(2, 4\)"):
+        KrausChannel(RegisterLayout(("A", "B"), (2, 2)), qubit, (np.eye(2), np.eye(4)))
 
 
 def test_response_dephasing_is_invisible_to_basis_diagonal_flags():

@@ -91,7 +91,39 @@ def test_effect_and_povm_validation():
     comp = Povm.computational(QUBIT)
     assert len(comp) == 2
     with pytest.raises(ValidationError):
-        Povm((comp.elements[0], comp.elements[0]))  # sums to 2|0><0|
+        Povm(QUBIT, (comp.effects[0], comp.effects[0]))  # sums to 2|0><0|
+
+
+BAD_EFFECTS = {
+    "not Hermitian": np.array([[0.5, 0.1], [0.0, 0.5]]),
+    "above one": np.diag([1.2, 0.5]),
+    "below zero": np.diag([-0.1, 0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EFFECTS))
+def test_povm_refuses_an_effect_as_measurement_operator_does(case):
+    with pytest.raises(ValidationError) as single:
+        MeasurementOperator(QUBIT, BAD_EFFECTS[case])
+    # the other effects have spectrum {1/2}, so the stack's extremes are the bad effect's
+    with pytest.raises(ValidationError) as stacked:
+        Povm(QUBIT, [np.eye(2) / 2, BAD_EFFECTS[case], np.eye(2) / 2])
+    assert str(stacked.value) == str(single.value)
+
+
+def test_povm_is_one_checked_read_only_stack():
+    comp = Povm.computational(PAIR)
+    assert comp.effects.shape == (4, 4, 4) and comp.effects.dtype == np.complex128
+    assert not comp.effects.flags.writeable
+    with pytest.raises(ValidationError):
+        Povm(QUBIT, [])
+    with pytest.raises(ValidationError):
+        Povm(QUBIT, np.zeros((0, 2, 2)))
+    with pytest.raises(ValidationError):
+        Povm(QUBIT, [np.diag([1.0, 0.0])])  # misses |1><1|
+    for misshaped in (np.eye(3)[None], np.eye(2), np.eye(4)[None] / 2, np.zeros((2, 2, 2, 2))):
+        with pytest.raises(LayoutError):
+            Povm(QUBIT, misshaped)
 
 
 def test_tensor_concatenates_layouts():
@@ -173,7 +205,7 @@ def test_povm_probabilities_sum_to_one():
         lay = RegisterLayout(("M",), (3,))
         povm = random_povm(rng, lay, 4)
         rho = random_density(rng, lay)
-        total = sum(born_probability(e, rho) for e in povm.elements)
+        total = sum(born_probability(MeasurementOperator(lay, e), rho) for e in povm.effects)
         assert abs(total - 1.0) < 1e-9
 
 

@@ -11,10 +11,17 @@ parent commit, unpacked).  The fingerprint holds:
   TREE's ``perfbench/clirun.COMMANDS``);
 - ``ops``: ``float.hex`` of every recorded op value of the ``sim-small``,
   ``sim-large`` and ``solve`` workloads (TREE's ``perfbench/workloads``),
-  for each instance of the pools of seeds 0 and 1.
+  for each instance of the pools of seeds 0 and 1;
+- ``documents``: the sha256 of three input documents that TREE's codec
+  writes from fixed ``derived_rng`` draws (a ``random_verifier_spec`` and
+  ``random_raw_prover`` pair, and a ``random_eb_channel``), and of what
+  ``canonicalize --spec --prover --emit`` and ``eb-check --channel`` make
+  of them, each run as a fresh process like the README commands: the
+  emitted canonical strategy and both CSV reports.
 
-Two trees whose fingerprints are equal produce the same report bytes and
-the same op values to the last bit.  The perfbench modules are only read.
+Two trees whose fingerprints are equal produce the same report bytes,
+documents and op values to the last bit.  The perfbench modules are only
+read.
 """
 
 from __future__ import annotations
@@ -28,20 +35,56 @@ from pathlib import Path
 
 WORKLOADS = ("sim-small", "sim-large", "solve")
 SEEDS = (0, 1)
+DOCUMENT_SEED = 0
 COMMAND_TIMEOUT_S = 120.0
+
+
+def run_cli(proc, cwd, name: str, *args: str) -> None:
+    subprocess.run(
+        [sys.executable, "-m", "qiplab.cli", name, *args],
+        cwd=cwd, env=proc.child_env(), check=True, stdout=subprocess.DEVNULL,
+        timeout=COMMAND_TIMEOUT_S,
+    )
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def csv_digests(clirun, proc) -> dict[str, str]:
     digests = {}
     for name, args in clirun.COMMANDS:
         with tempfile.TemporaryDirectory(prefix="fingerprint-") as cwd:
-            subprocess.run(
-                [sys.executable, "-m", "qiplab.cli", name, *args],
-                cwd=cwd, env=proc.child_env(), check=True, stdout=subprocess.DEVNULL,
-                timeout=COMMAND_TIMEOUT_S,
-            )
-            digests[name] = hashlib.sha256((Path(cwd) / f"{name}.csv").read_bytes()).hexdigest()
+            run_cli(proc, cwd, name, *args)
+            digests[name] = sha256(Path(cwd) / f"{name}.csv")
     return digests
+
+
+def document_digests(proc) -> dict[str, str]:
+    from qiplab import cli, random_instances
+    from qiplab.qmath import RegisterLayout
+    from qiplab.utils import derived_rng
+
+    rng = derived_rng(DOCUMENT_SEED, "output_fingerprint")
+    spec = random_instances.random_verifier_spec(rng)
+    prover = random_instances.random_raw_prover(rng, spec)
+    qutrit, qubit = RegisterLayout(("A",), (3,)), RegisterLayout(("B",), (2,))
+    channel = random_instances.random_eb_channel(rng, qutrit, qubit)
+    inputs = {
+        "spec.json": cli.protocol_document(spec),
+        "prover.json": cli.strategy_document(prover),
+        "channel.json": cli.channel_document(channel),
+    }
+    with tempfile.TemporaryDirectory(prefix="fingerprint-") as cwd:
+        for name, doc in inputs.items():
+            (Path(cwd) / name).write_text(cli.dumps_document(doc) + "\n")
+        run_cli(
+            proc, cwd, "canonicalize", "--spec", "spec.json", "--prover", "prover.json",
+            "--emit", "canonical.json", "--csv", "canonicalize.csv",
+        )
+        run_cli(proc, cwd, "eb-check", "--channel", "channel.json", "--csv", "eb-check.csv")
+        names = [*inputs, "canonical.json", "canonicalize.csv", "eb-check.csv"]
+        return {name: sha256(Path(cwd) / name) for name in names}
 
 
 def op_values(workloads) -> dict[str, dict[str, list[dict[str, str]]]]:
@@ -76,7 +119,11 @@ def main(argv: list[str]) -> int:
         print(f"output_fingerprint: imported qiplab from {qiplab.__file__}", file=sys.stderr)
         return 2
 
-    doc = {"csv": csv_digests(clirun, proc), "ops": op_values(workloads)}
+    doc = {
+        "csv": csv_digests(clirun, proc),
+        "documents": document_digests(proc),
+        "ops": op_values(workloads),
+    }
     print(json.dumps(doc, indent=1, sort_keys=True))
     return 0
 
