@@ -39,6 +39,8 @@ from .qmath import (
 TRACE_PRESERVING_TOL = 1e-8
 CHOI_EQUAL_TOL = 1e-9
 NPT_TOL = 1e-9
+# How far below zero a decomposition's term probability may be as rounding.
+TERM_SIGN_TOL = 1e-12
 # Largest in_dim * out_dim that choi accepts.  The Choi state is a dense
 # (in_dim * out_dim)^2 complex matrix, and the PPT test diagonalizes it and
 # its partial transpose: at 1024 a fresh `eb-check --channel` process takes
@@ -265,7 +267,7 @@ def eb_from_separable_choi(
     if not terms:
         raise ValidationError("decomposition needs at least one term")
     probs = np.array([float(p) for p, _, _ in terms])
-    if np.any(probs < -1e-12):
+    if np.any(probs < -TERM_SIGN_TOL):
         raise ValidationError(f"negative probability {probs.min()!r} in decomposition")
     if abs(probs.sum() - 1.0) > COMPLETENESS_TOL:
         raise ValidationError(

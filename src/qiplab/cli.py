@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -112,12 +112,11 @@ def _field(doc: Mapping[str, Any], key: str, kind: type, optional: bool = False)
     return None if optional and value is None else _convert(key, kind, value)
 
 
-def _items(doc: Mapping[str, Any], key: str, kind: type) -> list[Any]:
-    """The list doc[key], each item read as a `kind` through _convert."""
-    value = doc[key]
+def _items(value: Any, key: str, kind: type) -> tuple[Any, ...]:
+    """The list `value`, named `key`, each item read as a `kind` through _convert."""
     if not isinstance(value, list):
         raise ValidationError(f"{key} must be a JSON list, got {type(value).__name__}")
-    return [_convert(key, kind, item) for item in value]
+    return tuple(_convert(key, kind, item) for item in value)
 
 
 def _decode_array(pairs: Any, shape: tuple[int, ...]) -> np.ndarray:
@@ -133,7 +132,7 @@ def _encode_layout(layout: RegisterLayout) -> dict[str, Any]:
 
 
 def _decode_layout(doc: Mapping[str, Any]) -> RegisterLayout:
-    return RegisterLayout(tuple(_items(doc, "names", str)), tuple(_items(doc, "dims", int)))
+    return RegisterLayout(_items(doc["names"], "names", str), _items(doc["dims"], "dims", int))
 
 
 def channel_document(channel: KrausChannel | EbChannel) -> dict[str, Any]:
@@ -205,7 +204,7 @@ def protocol_from_document(doc: Any) -> ProtocolSpec:
             v1=None if v1_doc is None else channel_from_document(v1_doc),
             v2=channel_from_document(doc["v2"]),
             accept=MeasurementOperator(joint, _decode_array(doc["accept"], (d, d))),
-            classical_rounds=frozenset(_items(doc, "classical_rounds", int)),
+            classical_rounds=frozenset(_items(doc["classical_rounds"], "classical_rounds", int)),
             public_coin=_field(doc, "public_coin", bool),
             coin_label=_field(doc, "coin_label", str, optional=True),
             saved_label=_field(doc, "saved_label", str, optional=True),
@@ -214,81 +213,57 @@ def protocol_from_document(doc: Any) -> ProtocolSpec:
         raise ValidationError(f"malformed protocol document: {exc}") from exc
 
 
-def _state_document(state: PureState) -> dict[str, Any]:
+def _encode_state(state: PureState | None) -> dict[str, Any] | None:
+    if state is None:
+        return None
     return {"layout": _encode_layout(state.layout), "amplitudes": _encode_array(state.amplitudes)}
 
 
-def _state_from_document(doc: Mapping[str, Any]) -> PureState:
+def _decode_state(doc: Mapping[str, Any] | None) -> PureState | None:
+    if doc is None:
+        return None
     layout = _decode_layout(doc["layout"])
     return PureState(layout, _decode_array(doc["amplitudes"], (layout.total_dim,)))
 
 
+def _decode_responses(doc: Any) -> dict[str, str]:
+    return {y: _convert("response", str, z) for y, z in _object(doc, "responses").items()}
+
+
+# every strategy form by its "kind", and every strategy field once, by name,
+# with its (encode, decode) pair: a document's other keys are the field names
+_STRATEGY_KINDS = {
+    "entangled": EntangledStrategy,
+    "raw": RawUnentangledStrategy,
+    "canonical": CanonicalStrategy,
+    "classical": ClassicalResponseStrategy,
+}
+_STRATEGY_FIELDS: dict[str, tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
+    "workspace": (_encode_layout, _decode_layout),
+    "eb_labels": (list, lambda doc: _items(doc, "eb_labels", str)),
+    **dict.fromkeys(
+        ("first", "respond", "mix1", "emit1", "mix2", "emit2"),
+        (channel_document, channel_from_document),
+    ),
+    "first_message": (_encode_state, _decode_state),
+    "responses": (dict, _decode_responses),
+}
+
+
 def strategy_document(prover: ProverStrategy) -> dict[str, Any]:
-    if isinstance(prover, EntangledStrategy):
-        return {
-            "kind": "entangled",
-            "workspace": _encode_layout(prover.workspace),
-            "first": channel_document(prover.first),
-            "respond": channel_document(prover.respond),
-        }
-    if isinstance(prover, RawUnentangledStrategy):
-        return {
-            "kind": "raw",
-            "workspace": _encode_layout(prover.workspace),
-            "eb_labels": list(prover.eb_labels),
-            "mix1": channel_document(prover.mix1),
-            "emit1": channel_document(prover.emit1),
-            "mix2": channel_document(prover.mix2),
-            "emit2": channel_document(prover.emit2),
-        }
-    if isinstance(prover, CanonicalStrategy):
-        return {
-            "kind": "canonical",
-            "first_message": _state_document(prover.first_message),
-            "respond": channel_document(prover.respond),
-        }
-    if isinstance(prover, ClassicalResponseStrategy):
-        first = prover.first_message
-        return {
-            "kind": "classical",
-            "first_message": None if first is None else _state_document(first),
-            "responses": dict(prover.responses),
-        }
-    raise ContractError(f"no document form for {type(prover).__name__}")
+    kind = next((k for k, cls in _STRATEGY_KINDS.items() if isinstance(prover, cls)), None)
+    if kind is None:
+        raise ContractError(f"no document form for {type(prover).__name__}")
+    doc = {f.name: _STRATEGY_FIELDS[f.name][0](getattr(prover, f.name)) for f in fields(prover)}
+    return {"kind": kind, **doc}
 
 
 def strategy_from_document(doc: Mapping[str, Any]) -> ProverStrategy:
     try:
         kind = _field(doc, "kind", str)
-        if kind == "entangled":
-            return EntangledStrategy(
-                workspace=_decode_layout(doc["workspace"]),
-                first=channel_from_document(doc["first"]),
-                respond=channel_from_document(doc["respond"]),
-            )
-        if kind == "raw":
-            return RawUnentangledStrategy(
-                workspace=_decode_layout(doc["workspace"]),
-                eb_labels=tuple(_items(doc, "eb_labels", str)),
-                mix1=channel_from_document(doc["mix1"]),
-                emit1=channel_from_document(doc["emit1"]),
-                mix2=channel_from_document(doc["mix2"]),
-                emit2=channel_from_document(doc["emit2"]),
-            )
-        if kind == "canonical":
-            return CanonicalStrategy(
-                first_message=_state_from_document(doc["first_message"]),
-                respond=channel_from_document(doc["respond"]),
-            )
-        if kind == "classical":
-            first = doc["first_message"]
-            return ClassicalResponseStrategy(
-                first_message=None if first is None else _state_from_document(first),
-                responses={
-                    y: _convert("response", str, z)
-                    for y, z in _object(doc["responses"], "responses").items()
-                },
-            )
+        if kind in _STRATEGY_KINDS:
+            cls = _STRATEGY_KINDS[kind]
+            return cls(**{f.name: _STRATEGY_FIELDS[f.name][1](doc[f.name]) for f in fields(cls)})
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed strategy document: {exc}") from exc
     raise ValidationError(f"unknown strategy kind {kind!r}")
@@ -387,6 +362,8 @@ def _convert(name: str, kind: type, value: Any) -> Any:
 # batches take about 3.8 s each as fresh processes.
 CANONICALIZE_TRIAL_BUDGET = 1000
 EB_CHECK_COUNT_BUDGET = 5000
+# Acceptance a canonical prover may lose to rounding; more breaks canonical >= raw.
+CANONICAL_LOSS_TOL = 1e-9
 
 
 def _check_count(name: str, value: int, low: int, budget: int) -> None:
@@ -437,7 +414,7 @@ def _run_canonicalize(params: Mapping[str, Any]):
             raw_value, canon_value, _ = _canonicalize_instance(spec, prover)
             rows.append((trial, raw_value, canon_value, canon_value - raw_value))
     min_gain = min(row[3] for row in rows)
-    if min_gain < -1e-9:
+    if min_gain < -CANONICAL_LOSS_TOL:
         raise NumericsError(f"canonical prover lost {-min_gain:.3e} acceptance")
     summary = f"{len(rows)} prover(s) canonicalized, min gain {min_gain:.3e}"
     return ("trial", "raw_value", "canonical_value", "gain"), rows, None, summary

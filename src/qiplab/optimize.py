@@ -65,6 +65,12 @@ SUBSAMPLE_DRAW_BUDGET = 10**7
 # coefficients all fit a double (comb(1031, 515) is past 1.8e308).
 AMPLIFY_K_BUDGET = 1029
 ITERATE_MONOTONE_TOL = 1e-12
+# How far below zero a weight may be as rounding; it is then clipped to 0.
+WEIGHT_SIGN_TOL = 1e-12
+# How far weights may sum from 1: weights written as decimals miss it by ulps.
+WEIGHT_SUM_TOL = 1e-9
+# How far the net's solid angles may sum from one covering: 2N - 4 rounded terms.
+COVERING_COUNT_TOL = 1e-9
 RESPONSE_ALPHABET_CAP = 8
 # Elements (16 MB of complex128) of the largest intermediate one stack of
 # response maps, weight rows or see-saw restarts may have; longer stacks are
@@ -143,9 +149,9 @@ def _weight_vector(fam: MeasurementFamily, weights: Mapping[str, float] | None) 
     w = np.array([float(weights[y]) for y in fam.challenges])
     if not np.all(np.isfinite(w)):
         raise ValidationError(f"weights must be finite, got {w.tolist()!r}")
-    if np.any(w < -1e-12):
+    if np.any(w < -WEIGHT_SIGN_TOL):
         raise ValidationError("weights must be nonnegative")
-    if abs(w.sum() - 1.0) > 1e-9:
+    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ValidationError(f"weights must sum to 1, got {w.sum()!r}")
     return np.clip(w, 0.0, None)
 
@@ -572,7 +578,7 @@ def _certify_delaunay(x, y, z, triangles: np.ndarray):
     xa, ya, za, xb, yb, zb, xc, yc, zc = x[a], y[a], z[a], x[b], y[b], z[b], x[c], y[c], z[c]
     dots = xa * xb + ya * yb + za * zb + xb * xc + yb * yc + zb * zc + xc * xa + yc * ya + zc * za
     coverings = 2 * np.arctan2(det, 1.0 + dots).sum() / (4 * np.pi)
-    if abs(coverings - 1.0) > 1e-9:
+    if abs(coverings - 1.0) > COVERING_COUNT_TOL:
         raise NumericsError(f"net triangles cover the sphere {coverings:.6g} times, not once")
     # sort each edge's four corners with a sorting network, tracking parity
     q = [head[first], tail[first], third[first], third[second]]

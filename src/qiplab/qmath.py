@@ -32,6 +32,8 @@ TRACE_TOL = 1e-10
 NORM_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
 EIG_RECONSTRUCT_TOL = 1e-9
+# Looser than HERMITIAN_TOL: hermitian_eig also takes computed sums and products.
+EIG_HERMITIAN_TOL = 1e-8
 
 
 def frozen(entries, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -161,7 +163,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = frozen(np.ravel(self.amplitudes), (self.layout.total_dim,), "state vector")
+        amps = frozen(self.amplitudes, (self.layout.total_dim,), "state vector")
         object.__setattr__(self, "amplitudes", amps)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
@@ -309,8 +311,8 @@ def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
     defect = hermiticity_defect(mat)
-    if defect > 1e-8:
-        raise ValidationError(f"hermiticity defect {defect:.3e} > 1e-08")
+    if defect > EIG_HERMITIAN_TOL:
+        raise ValidationError(f"hermiticity defect {defect:.3e} > {EIG_HERMITIAN_TOL}")
     vals, vecs = np.linalg.eigh(mat)
     vals = vals[..., ::-1].copy()
     vecs = vecs[..., ::-1].copy()

@@ -53,10 +53,14 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_effect(rng: np.random.Generator, layout: RegisterLayout) -> MeasurementOperator:
-    d = layout.total_dim
+def _effect_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
+    """An unchecked d x d effect: a Haar-random eigenbasis, eigenvalues in [0, 1)."""
     u = random_unitary(rng, d)
-    return MeasurementOperator(layout, u @ np.diag(rng.uniform(0.0, 1.0, size=d)) @ dagger(u))
+    return u @ np.diag(rng.uniform(0.0, 1.0, size=d)) @ dagger(u)
+
+
+def random_effect(rng: np.random.Generator, layout: RegisterLayout) -> MeasurementOperator:
+    return MeasurementOperator(layout, _effect_matrix(rng, layout.total_dim))
 
 
 def random_povm(rng: np.random.Generator, layout: RegisterLayout, n_outcomes: int) -> Povm:
@@ -195,8 +199,9 @@ def random_measurement_family(
 ) -> MeasurementFamily:
     challenges = tuple(str(i) for i in range(n_challenges))
     responses = tuple(str(i) for i in range(n_responses))
-    # drawn challenge by challenge, each challenge's responses in order
-    draws = [random_effect(rng, layout).entries for _ in range(n_challenges * n_responses)]
+    # drawn challenge by challenge, each challenge's responses in order, and
+    # checked once, as the family's stack
+    draws = [_effect_matrix(rng, layout.total_dim) for _ in range(n_challenges * n_responses)]
     shape = (n_challenges, n_responses) + (layout.total_dim,) * 2
     return MeasurementFamily(challenges, responses, layout, np.reshape(draws, shape))
 

@@ -6,6 +6,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def _path_word(part: int | str) -> int:
     if isinstance(part, str):
@@ -20,7 +22,10 @@ def derived_rng(seed: int, *path: int | str) -> np.random.Generator:
     Streams for distinct paths never overlap, so per-trial and per-restart
     work can run in any order and still reproduce the exact same draws.
     String path parts are hashed, so subsystems can tag their streams by
-    name.
+    name.  The seed is one 64-bit word: a seed outside [0, 2**64) is refused,
+    not wrapped onto one inside it.
     """
-    entropy = (int(seed) & 0xFFFFFFFFFFFFFFFF,) + tuple(_path_word(p) for p in path)
+    if not 0 <= int(seed) < 2**64:
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
+    entropy = (int(seed),) + tuple(_path_word(p) for p in path)
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -43,7 +43,7 @@ from qiplab.cli import (
     strategy_document,
     strategy_from_document,
 )
-from qiplab.errors import ContractError, ValidationError
+from qiplab.errors import ContractError, NumericsError, QipLabError, ValidationError
 from qiplab.qmath import RegisterLayout
 from qiplab.random_instances import (
     random_classical_response,
@@ -314,6 +314,25 @@ def test_unwritable_paths_are_refused_before_the_runner(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_64_bits_exits_with_status_two(tmp_path, capsys, seed):
+    # masked to 64 bits, 2**64 drew the rows of seed 0, and -1 those of 2**64 - 1
+    csv = tmp_path / "x.csv"
+    for args in (["chsh-gap", "--restarts", "1"], ["canonicalize", "--trials", "2"]):
+        status = main([*args, "--seed", str(seed), "--csv", str(csv)])
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert not csv.exists()
+    assert main(["canonicalize", "--trials", "1", "--seed", str(2**64 - 1), "--csv", str(csv)]) == 0
+
+
+def test_seeds_in_range_keep_their_entropy():
+    for seed in (0, 7, 2**32 + 5, 2**64 - 1):
+        want = np.random.default_rng(np.random.SeedSequence((seed, 3))).integers(2**62, size=4)
+        assert derived_rng(seed, 3).integers(2**62, size=4).tolist() == want.tolist()
+
+
 def _malformed(case):
     """(protocol document, strategy document) of one malformed instance."""
     rng = derived_rng(9, "cli-doc")
@@ -514,6 +533,43 @@ def test_protocol_and_strategy_documents_round_trip():
         a = acceptance_probability(spec, prover)
         assert acceptance_probability(spec_again, again) == pytest.approx(a, abs=1e-12)
     assert isinstance(strategy_from_document(doc), ClassicalResponseStrategy)
+
+
+# the pinned document keys of each strategy kind: a renamed dataclass field
+# must not silently rename a key of the format
+STRATEGY_KEYS = {
+    "entangled": {"kind", "workspace", "first", "respond"},
+    "raw": {"kind", "workspace", "eb_labels", "mix1", "emit1", "mix2", "emit2"},
+    "canonical": {"kind", "first_message", "respond"},
+    "classical": {"kind", "first_message", "responses"},
+}
+
+
+def test_each_strategy_kind_writes_exactly_its_pinned_keys():
+    forms = _document_forms(derived_rng(13, "strategy-keys"))
+    docs = [document(s) for document, _, s in forms if document is strategy_document]
+    assert {doc["kind"] for doc in docs} == set(STRATEGY_KEYS)
+    for doc in docs:
+        assert set(doc) == STRATEGY_KEYS[doc["kind"]], doc["kind"]
+        if doc["kind"] == "canonical":
+            assert set(doc["first_message"]) == {"layout", "amplitudes"}
+
+
+def test_a_canonical_document_without_a_first_message_fails_when_simulated():
+    rng = derived_rng(14, "canonical-null")
+    spec = random_verifier_spec(rng)
+    canonical = canonicalize_prover(spec, random_raw_prover(rng, spec))
+    doc = json.loads(dumps_document(strategy_document(canonical)))
+    doc["first_message"] = None
+    # the first message is optional in the format (a two-round classical
+    # prover has none), so the document decodes and the simulator refuses it
+    for protocol in (spec, random_qcip2_spec(rng)):
+        try:
+            acceptance_probability(protocol, strategy_from_document(doc))
+        except QipLabError as exc:
+            assert not isinstance(exc, NumericsError), exc
+        else:
+            pytest.fail("a canonical prover without a first message was simulated")
 
 
 def _assert_identical(a, b, path="document"):

@@ -18,6 +18,7 @@ from qiplab import (
     ValidationError,
     hermitian_eig,
     protocol,
+    qmath,
 )
 from qiplab.channels import EbChannel, adjoint_apply
 from qiplab.protocol import (
@@ -57,6 +58,7 @@ from qiplab.random_instances import (
     random_pure,
     random_qcip2_spec,
     random_raw_prover,
+    random_unitary,
     random_verifier_spec,
 )
 from qiplab.utils import derived_rng
@@ -1023,6 +1025,38 @@ def test_random_family_stacks_the_old_draws_bit_for_bit(n_y, n_z, d):
         family = random_measurement_family(derived_rng(seed, "family"), layout, n_y, n_z)
         old = old_random_operators(derived_rng(seed, "family"), layout, n_y, n_z)
         assert_same_family(family, old)
+
+
+def checked_alone_draws(rng, layout, n_y, n_z):
+    """Test-only copy of random_measurement_family's draws as they were made
+    when each one was first checked alone, as a MeasurementOperator."""
+    d = layout.total_dim
+    draws = []
+    for _ in range(n_y * n_z):
+        u = random_unitary(rng, d)
+        effect = u @ np.diag(rng.uniform(0.0, 1.0, size=d)) @ u.conj().T
+        draws.append(MeasurementOperator(layout, effect).entries)
+    return np.reshape(draws, (n_y, n_z, d, d))
+
+
+@pytest.mark.parametrize("n_y, n_z, d", [(1, 3, 2), (2, 2, 2), (3, 2, 3)])
+def test_random_family_checks_its_stack_once_and_keeps_every_bit(n_y, n_z, d, monkeypatch):
+    checks, check = [], qmath.checked_effects
+
+    def counted(*args, **kwargs):
+        checks.append(args)
+        return check(*args, **kwargs)
+
+    # the family's stack check, and every MeasurementOperator's
+    monkeypatch.setattr(protocol, "checked_effects", counted)
+    monkeypatch.setattr(qmath, "checked_effects", counted)
+    layout = RegisterLayout(("M",), (d,))
+    for seed in range(4):
+        checks.clear()
+        family = random_measurement_family(derived_rng(seed, "family-once"), layout, n_y, n_z)
+        assert len(checks) == 1
+        want = checked_alone_draws(derived_rng(seed, "family-once"), layout, n_y, n_z)
+        assert family.effects.tobytes() == want.tobytes()
 
 
 @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))

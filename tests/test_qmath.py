@@ -74,6 +74,15 @@ def test_state_validation():
         PureState(QUBIT, [1, 0, 0])
 
 
+def test_state_refuses_ragged_and_nested_amplitudes():
+    # a ragged vector is a LayoutError naming its first misshaped item, not
+    # numpy's bare ValueError; a nested one is not flattened into a vector
+    with pytest.raises(LayoutError, match="state vector 0 has shape"):
+        PureState(QUBIT, [[1], [0, 0]])
+    with pytest.raises(LayoutError, match=r"shape \(1, 2\)"):
+        PureState(QUBIT, [[1, 0]])
+
+
 def test_density_validation():
     DensityMatrix(QUBIT, np.eye(2) / 2)
     with pytest.raises(ValidationError):
