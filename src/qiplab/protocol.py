@@ -14,14 +14,20 @@ register, samples a uniform coin, records the coin, and transmits the coin
 (a uniform-challenge verifier keeps the message intact this way, which is
 what the final measurement acts on).
 
-The simulator keeps one dense density matrix over (P, M, V) up to the
-prover's response, and one loop applies each round's move: Kraus
-operators, then a measure-and-prepare emission (effects contracted by
-qmath.measure_array, vectors written by qmath.prepare_array).  The
-prover's opening and response, the public coin and v1 all take this form.
-The verifier's closing channel v2 is never applied to a state: it and the
-accept flag enter as one effect v2^dag(accept) on (M, V), the Heisenberg
-picture, contracted against what the prover leaves behind.
+Each round's move is Kraus operators, then a measure-and-prepare emission
+(effects contracted by qmath.measure_array, vectors written by
+qmath.prepare_array).  The prover's opening and response, the public coin
+and v1 all take this form.  The verifier's closing channel v2 is never
+applied to a state: it and the accept flag enter as one effect
+v2^dag(accept) on (M, V), the Heisenberg picture.
+
+The prover's workspace P never meets the verifier's register V: they meet
+only through M.  So run_interaction is an exact contraction, not a forward
+run over (P, M, V).  The opening runs forward on (P, M); the closing
+effect, split over M|V into min(d_M, d_V)^2 product terms, is pulled back
+through the response onto (P, M) term by term; the challenge runs on
+(X, M, V), where X is P when d_P <= d_M and a copy of M otherwise.  No
+array is larger than (P, M) or (X, M, V).
 
 Prover strategies come in four forms, from the most general unentangled one
 (arbitrary workspace channels with measure-and-prepare message emission) to
@@ -69,9 +75,10 @@ CONDITIONING_TOL = 1e-12
 # How far outside [0, 1] a computed probability may land before it is a fault.
 VALUE_RANGE_TOL = 1e-9
 # Largest total dimension D the simulator accepts.  Its states and scratch
-# arrays are dense D x D complex matrices, so memory grows as D^2 and time up
-# to D^3: a raw run plus its canonicalization at D = 1024 takes about 3 s and
-# 160 MB peak on a 2-core host.
+# arrays are dense complex matrices of side up to D, so memory grows as D^2
+# and time up to D^3: a raw run plus its canonicalization at D = 1024
+# takes at most about 0.7 s and 140 MB peak (50 MB of it the interpreter and
+# numpy) on a 2-core host, over six raw shapes with d_M from 2 to 8.
 SIMULATOR_DIMENSION_BUDGET = 1024
 
 
@@ -307,8 +314,10 @@ def _emission(channel: EbChannel, reads: RegisterLayout, writes: RegisterLayout,
     dims = (channel.in_layout.dims, channel.out_layout.dims)
     if dims != (reads.dims, writes.dims):
         raise LayoutError(f"{what} maps dims {dims[0]}->{dims[1]}, not {reads.dims}->{writes.dims}")
-    zero = np.eye(reads.total_dim // writes.total_dim)[0]
-    return channel.povm.effects, [np.kron(zero, p.amplitudes) for p in channel.preps]
+    n, d_m = len(channel.preps), writes.total_dim
+    preps = np.zeros((n, reads.total_dim // d_m, d_m), dtype=np.complex128)
+    preps[:, 0] = [p.amplitudes for p in channel.preps]
+    return channel.povm.effects, preps.reshape(n, -1)
 
 
 class _Move(NamedTuple):
@@ -410,12 +419,103 @@ def _challenge(spec: ProtocolSpec, layout: RegisterLayout) -> _Move:
     return _Move(swap, swap_axes, [pairs / n] * n, pairs[:: n + 1], coin_axes)
 
 
+def _challenged(spec: ProtocolSpec, front: np.ndarray, layout: RegisterLayout) -> np.ndarray:
+    """The challenge move applied to `front` (x) |0><0|_V on `layout` = (X, M, V).
+
+    `front` lives on (X, M): the prover's workspace and message, or a copy of
+    M and M.  The round's dephasing is left to the caller."""
+    d, d_v = len(front), spec.v_layout.total_dim
+    state = np.zeros((d, d_v, d, d_v), dtype=np.complex128)
+    state[:, 0, :, 0] = front
+    return _apply_move(state.reshape(d * d_v, -1), layout.dims, _challenge(spec, layout))
+
+
+def _with_copy_of_m(spec: ProtocolSpec) -> RegisterLayout:
+    """(M', M, V): one register of M's dimension in front of the verifier's.
+
+    Its name, longer than any of theirs, clashes with none of them."""
+    joint = spec.joint_layout()
+    name = "'" * (1 + max(len(n) for n in joint.names))
+    return RegisterLayout((name,), (spec.m_layout.total_dim,)).concat(joint)
+
+
+def _maximally_entangled(d: int) -> np.ndarray:
+    """|Phi><Phi| on (M', M), Phi = sum_a |a>|a>: block (a, b) of M' is |a><b| on M."""
+    phi = np.eye(d).reshape(-1)
+    return np.outer(phi, phi).astype(np.complex128)
+
+
+def _matrix_units(d: int) -> np.ndarray:
+    """Stack of the d^2 matrix units |a><b|, index a*d + b."""
+    return np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
+
+
+def _closing_terms(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The closing effect as sum_j X_j (x) B_j, X_j on M and B_j on V.
+
+    The effect is v2^dag(accept), dephased on M when the response round is
+    classical (dephasing is its own adjoint).  It is split over the matrix
+    units of the smaller of M and V, so there are min(d_M, d_V)^2 terms."""
+    joint = spec.joint_layout()
+    effect = _closing_effect(spec)
+    if spec.response_round in spec.classical_rounds:
+        effect = dephase_axes(effect, joint.dims, joint.axes(spec.m_layout.names))
+    d_m, d_v = spec.m_layout.total_dim, spec.v_layout.total_dim
+    blocks = effect.reshape(d_m, d_v, d_m, d_v)
+    if d_m <= d_v:
+        return _matrix_units(d_m), blocks.transpose(0, 2, 1, 3).reshape(d_m * d_m, d_v, d_v)
+    return blocks.transpose(1, 3, 0, 2).reshape(d_v * d_v, d_m, d_m), _matrix_units(d_v)
+
+
+def _pulled_back(response: _Move, xs: np.ndarray, dims, m_axes) -> np.ndarray:
+    """A_j = R^dag(I_P (x) X_j) on (P, M) for the stack `xs` of X_j on M.
+
+    R is the response move.  Each X_j goes back through the emission first,
+    as sum_l <phi_l|X_j|phi_l> F_l on (S, M), then through the Kraus
+    operators, as sum_k K_k^dag . K_k, all terms in one stack."""
+    ys, axes = xs, m_axes
+    if len(response.effects):
+        phis = response.preps.reshape(len(response.preps), -1, xs.shape[-1])
+        weights = np.einsum("lsa,jab,lsb->jl", phis.conj(), xs, phis)
+        ys, axes = np.tensordot(weights, response.effects, 1), response.emit_axes
+    ys = embed_operator(ys, dims, axes)
+    if len(response.kraus):
+        ys = adjoint_kraus_array(ys, response.kraus)
+    return ys
+
+
+def _challenge_scores(spec: ProtocolSpec, rho: np.ndarray, pm: RegisterLayout, bs) -> np.ndarray:
+    """Q_j = tr_V[(I (x) B_j) sigma] on (P, M), sigma the state after the challenge.
+
+    The challenge runs on (X, M, V), followed by its round's dephasing.  X is
+    P when d_P <= d_M, and sigma starts from rho (x) |0><0|_V.  Otherwise X
+    is a copy of M and the challenge takes |Phi><Phi| (x) |0><0|_V; its block
+    (a, b) of X is the image of |a><b| on M, and rho's blocks rho_ab on P
+    are contracted in afterwards: Q_j = sum_ab rho_ab (x) (block (a, b))."""
+    d_m = spec.m_layout.total_dim
+    d_p = pm.total_dim // d_m
+    on_p = d_p <= d_m
+    layout = pm.concat(spec.v_layout) if on_p else _with_copy_of_m(spec)
+    sigma = _challenged(spec, rho if on_p else _maximally_entangled(d_m), layout)
+    if spec.challenge_round in spec.classical_rounds:
+        sigma = dephase_axes(sigma, layout.dims, layout.axes(spec.m_layout.names))
+    scores = measure_array(sigma, layout.dims, bs, layout.axes(spec.v_layout.names))
+    if on_p:
+        return scores
+    n = len(bs)
+    # rows (p, p') and columns (a, b) against rows (a, b) and columns (m, m')
+    blocks = rho.reshape(d_p, d_m, d_p, d_m).transpose(0, 2, 1, 3).reshape(d_p * d_p, -1)
+    images = scores.reshape((n,) + (d_m,) * 4).transpose(0, 1, 3, 2, 4).reshape(n, d_m * d_m, -1)
+    q = (blocks @ images).reshape(n, d_p, d_p, d_m, d_m).transpose(0, 1, 3, 2, 4)
+    return q.reshape(n, pm.total_dim, pm.total_dim)
+
+
 def _opening_blocks(spec: ProtocolSpec) -> np.ndarray:
     """The block on V of each challenge y of a two-round protocol's opening move.
 
     Measuring M in its basis zeroes what dephasing the challenge would."""
     full, m_axes = _geometry(spec)
-    rho = _apply_move(_zero_state(full.total_dim), full.dims, _challenge(spec, full))
+    rho = _challenged(spec, _zero_state(spec.m_layout.total_dim), full)
     return measure_array(rho, full.dims, basis_projectors(spec.m_layout.total_dim), m_axes)
 
 
@@ -434,21 +534,27 @@ def classical_response_channel(layout: RegisterLayout, responses: Mapping[str, s
 
 
 def run_interaction(spec: ProtocolSpec, prover: ProverStrategy) -> float:
-    """Simulate the interaction and return the acceptance probability."""
+    """Simulate the interaction and return the acceptance probability.
+
+    An exact contraction: the opening runs forward on (P, M) to rho; the
+    closing effect, split as sum_j X_j (x) B_j, has each X_j pulled back
+    through the response to A_j on (P, M); the challenge, run on (X, M, V),
+    gives Q_j on (P, M); the acceptance is sum_j tr(A_j Q_j).  Everything is
+    checked, the budget on (P, M, V) included, before any array is built.
+    """
     full, opening, response = _prover_moves(spec, prover)
-    dims = full.dims
-    m_axes, v_axes = full.axes(spec.m_layout.names), full.axes(spec.v_layout.names)
-    rho = _zero_state(full.total_dim)
-    moves = [move for move in (opening, _challenge(spec, full), response) if move is not None]
-    for round_, move in enumerate(moves, start=1):
-        # nested so the pre-move state is freed after the dephasing: freed before,
-        # glibc trims the heap and the next move's D x D temporaries page-fault
-        if round_ in spec.classical_rounds:
-            rho = dephase_axes(_apply_move(rho, dims, move), dims, m_axes)
-        else:
-            rho = _apply_move(rho, dims, move)
-    block = measure_array(rho, dims, [_closing_effect(spec)], m_axes + v_axes)[0]
-    return checked_probability(float(np.trace(block).real), "acceptance probability")
+    pm = full.subset(n for n in full.names if n not in spec.v_layout.names)
+    m_axes = pm.axes(spec.m_layout.names)
+    rho = _zero_state(pm.total_dim)
+    if opening is not None:
+        rho = _apply_move(rho, pm.dims, opening)
+        if 1 in spec.classical_rounds:
+            rho = dephase_axes(rho, pm.dims, m_axes)
+    xs, bs = _closing_terms(spec)
+    pulled = _pulled_back(response, xs, pm.dims, m_axes)
+    scores = _challenge_scores(spec, rho, pm, bs)
+    p = np.einsum("jab,jba->", pulled, scores).real
+    return checked_probability(float(p), "acceptance probability")
 
 
 def acceptance_probability(spec: ProtocolSpec, prover: ProverStrategy) -> float:
@@ -513,10 +619,7 @@ def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStr
     rho1 = apply_kraus_array(_zero_state(pm.total_dim), dims, opening.kraus, opening.kraus_axes)
     # the residual workspace state of each branch, unnormalized, on R
     blocks = measure_array(rho1, dims, opening.effects, sm_axes)
-    pulled = [
-        adjoint_kraus_array(embed_operator(f, dims, sm_axes), response.kraus)
-        for f in response.effects
-    ]
+    pulled = adjoint_kraus_array(embed_operator(response.effects, dims, sm_axes), response.kraus)
 
     best: tuple[float, CanonicalStrategy] | None = None
     for block, prep in zip(blocks, raw.emit1.preps):
@@ -546,10 +649,12 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
 
     For a three-round protocol with classical challenge and response, the
     acceptance of a prover that opens with rho on M and answers challenge y
-    with g(y) is sum_y tr(N_{y,g(y)} rho).  Matrix units are driven forward
-    through the (linear) challenge move; the closing effect, compressed on
-    each response z to E_z = <z|v2^dag(accept)|z> on V, then scores every
-    challenge-conditioned block at once.
+    with g(y) is sum_y tr(N_{y,g(y)} rho).  The challenge move runs once on
+    (M', M, V), from |Phi><Phi| on a copy M' of M and M: block (j, k) of M'
+    is the image of the matrix unit |j><k|.  The closing effect, compressed
+    on each response z to E_z = <z|v2^dag(accept)|z> on V, then scores every
+    challenge-conditioned block at once.  (M', M, V) is held to the
+    simulator budget.
     """
     if spec.rounds != 3:
         raise ValidationError("family extraction needs a three-round protocol")
@@ -558,26 +663,22 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
     if spec.response_round not in spec.classical_rounds:
         raise ValidationError("family extraction needs a classical response round")
     full, m_axes = _geometry(spec)
-    dims = full.dims
-    challenge = _challenge(spec, full)
-    d_m = spec.m_layout.total_dim
+    layout = _with_copy_of_m(spec)
+    _check_simulator_dimension(layout)
+    d_m, d_v = spec.m_layout.total_dim, spec.v_layout.total_dim
     labels = spec.m_layout.basis_labels()
-    v_zero = _zero_state(spec.v_layout.total_dim)
     basis = basis_projectors(d_m)
-    kets = np.eye(d_m)
-    closing_blocks = measure_array(_closing_effect(spec), dims, basis, m_axes)
+    closing_blocks = measure_array(_closing_effect(spec), full.dims, basis, m_axes)
+    front = _maximally_entangled(d_m)
+    if 1 in spec.classical_rounds:
+        front = dephase_axes(front, (d_m, d_m), (1,))
+    sigma = _challenged(spec, front, layout)
+    # sigma_V of each challenge y (measured in M's basis, so not dephased
+    # first) in block (j, k) of M', scored by tr(E_z sigma_V) for every z;
     # tables[y, z] is N_{y,z} before symmetrization
-    tables = np.zeros((d_m, d_m, d_m, d_m), dtype=np.complex128)
-    for j in range(d_m):
-        for k in range(d_m):
-            rho = np.kron(np.outer(kets[j], kets[k]), v_zero)
-            if 1 in spec.classical_rounds:
-                rho = dephase_axes(rho, dims, m_axes)
-            rho = _apply_move(rho, dims, challenge)
-            # sigma_V of each challenge y (measured in M's basis, so not dephased
-            # first), scored by tr(E_z sigma_V) for every z
-            blocks = measure_array(rho, dims, basis, m_axes)
-            tables[:, :, k, j] = np.einsum("zab,yba->yz", closing_blocks, blocks)
+    blocks = measure_array(sigma, layout.dims, basis, layout.axes(spec.m_layout.names))
+    blocks = blocks.reshape(d_m, d_m, d_v, d_m, d_v)
+    tables = np.einsum("zab,yjbka->yzkj", closing_blocks, blocks)
     return MeasurementFamily(labels, labels, spec.m_layout, (tables + dagger(tables)) / 2)
 
 

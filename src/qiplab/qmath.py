@@ -372,7 +372,8 @@ def reorder_array(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) ->
     """Rows and columns of `mat` re-expressed with its registers in `order`.
 
     `dims` are the register dimensions as `mat` has them, and register
-    order[p] moves to position p.  The entries are only moved, never
+    order[p] moves to position p.  `mat` may be a stack of shape (..., D, D),
+    each matrix reordered alike.  The entries are only moved, never
     combined, so the result is exact.
     """
     dims = tuple(dims)
@@ -380,13 +381,19 @@ def reorder_array(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) ->
     order = list(order)
     if sorted(order) != list(range(n)):
         raise LayoutError(f"{order!r} is not a permutation of {n} axes")
+    if order == list(range(n)):
+        return mat
     d = math.prod(dims)
-    return mat.reshape(dims + dims).transpose(order + [n + a for a in order]).reshape(d, d)
+    lead = mat.shape[:-2]
+    k = len(lead)
+    perm = list(range(k)) + [k + a for a in order] + [k + n + a for a in order]
+    return mat.reshape(lead + dims + dims).transpose(perm).reshape(lead + (d, d))
 
 
 def _restore(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
     """Inverse of reorder_array(., dims, order), as a contiguous array."""
-    return np.ascontiguousarray(reorder_array(mat, [dims[a] for a in order], np.argsort(order)))
+    inverse = sorted(range(len(order)), key=list(order).__getitem__)
+    return np.ascontiguousarray(reorder_array(mat, [dims[a] for a in order], inverse))
 
 
 def _target_first(dims: Sequence[int], target_axes: Sequence[int]):
@@ -401,13 +408,18 @@ def embed_operator(op: np.ndarray, dims: Sequence[int], target_axes: Sequence[in
     """Extend `op`, acting on the listed axes in the listed order, by identity.
 
     The target axes need not be contiguous or sorted; the operator's tensor
-    factors are matched to `target_axes` positionally.
+    factors are matched to `target_axes` positionally.  A stack of operators
+    of shape (..., d_t, d_t) is extended one by one.
     """
     order, d_target, d_rest = _target_first(dims, target_axes)
     op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (d_target, d_target):
+    if op.shape[-2:] != (d_target, d_target):
         raise LayoutError(f"operator shape {op.shape} does not match target dims {d_target}")
-    return _restore(np.kron(op, np.eye(d_rest, dtype=np.complex128)), dims, order)
+    lead = op.shape[:-2]
+    d = d_target * d_rest
+    eye = np.eye(d_rest, dtype=np.complex128)[:, None, :]
+    kron = (op[..., :, None, :, None] * eye).reshape(lead + (d, d))
+    return _restore(kron, dims, order)
 
 
 def apply_kraus_array(
@@ -443,9 +455,11 @@ def adjoint_kraus_array(effect: np.ndarray, kraus: Sequence[np.ndarray]) -> np.n
     """Sum_k K_k^dag E K_k: the Heisenberg-picture image of E on the input space.
 
     The operators may be rectangular (output x input), and E lives on their
-    output space.  tr(E . sum_k K_k rho K_k^dag) = tr(image . rho).
+    output space.  tr(E . sum_k K_k rho K_k^dag) = tr(image . rho).  E may
+    be a stack of effects of shape (..., d_out, d_out): each is pulled back
+    by the same products as alone, broadcast over the stack.
     """
-    out = np.zeros((kraus[0].shape[1],) * 2, dtype=np.complex128)
+    out = np.zeros(np.shape(effect)[:-2] + (kraus[0].shape[1],) * 2, dtype=np.complex128)
     for k in kraus:
         out += dagger(k) @ effect @ k
     return out

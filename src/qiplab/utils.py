@@ -16,6 +16,19 @@ def _path_word(part: int | str) -> int:
     return int(part)
 
 
+def _uint32_words(value: int) -> list[int]:
+    """`value`'s little-endian uint32 words, as many as it needs (0 is one
+    word): the words numpy's SeedSequence splits a nonnegative int into."""
+    if value < 0:
+        raise ValidationError(f"stream path parts must be nonnegative, got {value}")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
 def derived_rng(seed: int, *path: int | str) -> np.random.Generator:
     """Independent counter-based stream for (seed, path).
 
@@ -23,9 +36,13 @@ def derived_rng(seed: int, *path: int | str) -> np.random.Generator:
     work can run in any order and still reproduce the exact same draws.
     String path parts are hashed, so subsystems can tag their streams by
     name.  The seed is one 64-bit word: a seed outside [0, 2**64) is refused,
-    not wrapped onto one inside it.
+    not wrapped onto one inside it.  The entropy is the words SeedSequence
+    would make of the tuple (seed, *path words), built here as one uint32
+    array.
     """
     if not 0 <= int(seed) < 2**64:
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
-    entropy = (int(seed),) + tuple(_path_word(p) for p in path)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    words = _uint32_words(int(seed))
+    for part in path:
+        words += _uint32_words(_path_word(part))
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))

@@ -283,6 +283,21 @@ def test_simulator_dimension_budget_is_checked_before_allocating(monkeypatch):
             simulate(spec, big)
 
 
+def test_family_extraction_holds_its_copy_of_m_to_the_budget(monkeypatch):
+    spec, _ = chsh_protocol()  # (M, V) has dimension 8, (M', M, V) 16
+    monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 16)
+    assert joint_response_operators(spec).effects.shape == (2, 2, 2, 2)
+    monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 15)
+
+    def no_allocation(*args):
+        raise AssertionError("a simulator array was allocated")
+
+    for name in ("_zero_state", "apply_kraus_array", "adjoint_kraus_array", "measure_array"):
+        monkeypatch.setattr(protocol, name, no_allocation)
+    with pytest.raises(BudgetError, match="simulator budget"):
+        joint_response_operators(spec)
+
+
 def misfit_prover(spec, form):
     """A prover for `spec` with one channel or state on the wrong registers.
 
@@ -454,10 +469,13 @@ def closing_cases(draw):
 
 def drawn_spec(rng, rounds, public, classical, m_dim, v_dim):
     """A random verifier with a random v2; a public coin adds the coin
-    register C (and the stash R in three rounds) in front of V."""
-    m_layout = RegisterLayout(("M",), (m_dim,))
+    register C (and the stash R in three rounds) in front of V.  A tuple
+    `m_dim` makes M that many registers."""
+    m_dims = m_dim if isinstance(m_dim, tuple) else (m_dim,)
+    m_layout = RegisterLayout(("M",) + tuple(f"M{i}" for i in range(1, len(m_dims))), m_dims)
     coin_names = (("R", "C") if rounds == 3 else ("C",)) if public else ()
-    v_layout = RegisterLayout(coin_names + ("V",), (m_dim,) * len(coin_names) + (v_dim,))
+    d_m = m_layout.total_dim
+    v_layout = RegisterLayout(coin_names + ("V",), (d_m,) * len(coin_names) + (v_dim,))
     joint = m_layout.concat(v_layout)
     return ProtocolSpec(
         m_layout=m_layout,
@@ -473,17 +491,18 @@ def drawn_spec(rng, rounds, public, classical, m_dim, v_dim):
     )
 
 
-def drawn_provers(rng, spec):
-    """Every prover form the spec takes."""
+def drawn_provers(rng, spec, p_dim=2, workspace=None):
+    """Every prover form the spec takes: the entangled one on a workspace of
+    dimension `p_dim`, the raw one on `workspace` ((W, S) = (2, 2) if None)."""
     provers = []
     if spec.challenge_round in spec.classical_rounds:
         provers.append(random_classical_response(rng, spec))
     if spec.rounds == 3:
-        p_layout = RegisterLayout(("P",), (2,))
+        p_layout = RegisterLayout(("P",), (p_dim,))
         pm = p_layout.concat(spec.m_layout)
         provers += [
             EntangledStrategy(p_layout, random_kraus_channel(rng, pm), random_kraus_channel(rng, pm)),
-            random_raw_prover(rng, spec),
+            random_raw_prover(rng, spec, workspace=workspace),
             CanonicalStrategy(random_pure(rng, spec.m_layout), random_eb_channel(rng, spec.m_layout)),
         ]
     return provers
@@ -550,6 +569,96 @@ def applied_run_interaction(spec, prover):
     return protocol.checked_probability(float(np.trace(block).real), "acceptance probability")
 
 
+def forward_run_interaction(spec, prover):
+    """Test-only copy of the forward simulator run_interaction replaced: one
+    dense state over (P, M, V) through the opening, challenge and response
+    moves, each classical round dephased, then the closing effect."""
+    full, opening, response = protocol._prover_moves(spec, prover)
+    dims = full.dims
+    m_axes, v_axes = full.axes(spec.m_layout.names), full.axes(spec.v_layout.names)
+    rho = protocol._zero_state(full.total_dim)
+    challenge = protocol._challenge(spec, full)
+    moves = [move for move in (opening, challenge, response) if move is not None]
+    for round_, move in enumerate(moves, start=1):
+        rho = protocol._apply_move(rho, dims, move)
+        if round_ in spec.classical_rounds:
+            rho = dephase_axes(rho, dims, m_axes)
+    block = measure_array(rho, dims, [protocol._closing_effect(spec)], m_axes + v_axes)[0]
+    return protocol.checked_probability(float(np.trace(block).real), "acceptance probability")
+
+
+@st.composite
+def interaction_cases(draw):
+    """Rounds, coin, classical rounds, M's registers, V's dimension, the
+    entangled workspace's dimension, the raw workspace's register order, and
+    a seed.
+
+    Every classical subset is drawn, the challenge round added where the
+    protocol needs it.  The shapes fall on both sides of each choice the
+    contraction makes: d_P <= d_M (every canonical and classical prover, and
+    workspaces up to M's size) and d_P > d_M; d_M <= d_V (every public coin)
+    and d_M > d_V (a private coin with a small V).
+    """
+    rounds = draw(st.sampled_from([2, 3]))
+    public = draw(st.booleans())
+    classical = draw(st.sets(st.integers(1, rounds)))
+    if public or rounds == 2:
+        classical.add(2 if rounds == 3 else 1)
+    m_dims = draw(st.sampled_from([(2,), (3,), (2, 2)]))
+    v_dim = draw(st.integers(2, 3))
+    p_dim = draw(st.integers(2, 5))
+    s_first = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return rounds, public, frozenset(classical), m_dims, v_dim, p_dim, s_first, seed
+
+
+@given(interaction_cases())
+@example((3, False, frozenset(), (3,), 2, 2, False, 0))  # d_M > d_V, d_P <= d_M
+@example((3, False, frozenset({1, 2, 3}), (3,), 2, 5, True, 1))  # d_M > d_V, d_P > d_M
+@example((3, True, frozenset({2, 3}), (2,), 2, 3, False, 2))  # d_M <= d_V, d_P > d_M
+@example((3, True, frozenset({1, 2}), (2, 2), 2, 4, True, 3))  # two M registers, d_P = d_M
+@example((2, True, frozenset({1}), (2,), 3, 2, False, 4))
+@example((2, False, frozenset({1, 2}), (2, 2), 2, 2, False, 5))
+def test_contraction_matches_the_forward_run(case):
+    rounds, public, classical, m_dims, v_dim, p_dim, s_first, seed = case
+    rng = np.random.default_rng(seed)
+    spec = drawn_spec(rng, rounds, public, classical, m_dims, v_dim)
+    workspace = RegisterLayout(("S", "W") if s_first else ("W", "S"), (2, 2))
+    for prover in drawn_provers(rng, spec, p_dim, workspace):
+        assert abs(run_interaction(spec, prover) - forward_run_interaction(spec, prover)) < 1e-13
+
+
+def test_a_sim_large_run_passes_no_array_of_the_total_dimension(monkeypatch):
+    # (W, S) = (8, 4), M = 2 and V = 4, as the sim-large benchmark draws them: D = 256
+    rng = derived_rng(36, "contraction")
+    spec = random_verifier_spec(rng, m_dim=2, v_dim=4)
+    raw = random_raw_prover(rng, spec, workspace=RegisterLayout(("W", "S"), (8, 4)))
+    sides = []
+
+    def watched(kernel):
+        def call(*args):
+            result = kernel(*args)
+            for arr in args + (result,):
+                if isinstance(arr, np.ndarray):
+                    sides.extend(arr.shape)
+            return result
+
+        return call
+
+    kernels = (
+        "_zero_state", "apply_kraus_array", "adjoint_kraus_array", "dephase_axes",
+        "embed_operator", "measure_array", "prepare_array",
+    )
+    for name in kernels:
+        monkeypatch.setattr(protocol, name, watched(getattr(protocol, name)))
+    forward_run_interaction(spec, raw)
+    assert 256 in sides  # the forward run builds the state over (P, M, V)
+    sides.clear()
+    run_interaction(spec, raw)
+    run_interaction(spec, canonicalize_prover(spec, raw))
+    assert sides and max(sides) < 256
+
+
 def applied_opening_blocks(spec):
     full = spec.joint_layout()
     m_axes, v_axes = full.axes(spec.m_layout.names), full.axes(spec.v_layout.names)
@@ -599,7 +708,7 @@ def test_challenge_move_matches_the_applied_challenge_exactly(case):
     rng = np.random.default_rng(seed)
     spec = drawn_spec(rng, rounds, public, classical, m_dim, v_dim)
     for prover in drawn_provers(rng, spec):
-        assert run_interaction(spec, prover) == applied_run_interaction(spec, prover)
+        assert forward_run_interaction(spec, prover) == applied_run_interaction(spec, prover)
     labels = spec.m_layout.basis_labels()
     if rounds == 2:
         want = [float(np.trace(block).real) for block in applied_opening_blocks(spec)]

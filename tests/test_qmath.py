@@ -12,6 +12,7 @@ from qiplab.qmath import (
     Povm,
     PureState,
     RegisterLayout,
+    adjoint_kraus_array,
     apply_kraus_array,
     born_probability,
     dephase_axes,
@@ -361,3 +362,41 @@ def test_apply_kraus_array_rejects_a_misshaped_operator():
     for bad in (np.eye(4), np.eye(12), np.ones((6, 3))):
         with pytest.raises(LayoutError):
             apply_kraus_array(rho, (2, 3, 2), [good, bad], (1, 2))
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+# stack size, output and input dimensions, Kraus operator count, seed
+@given(st.integers(1, 4), st.integers(2, 5), st.integers(2, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example(1, 2, 2, 1, 0)
+def test_stacked_adjoint_kraus_array_matches_its_per_effect_loop(n_effects, d_out, d_in, n_kraus, seed):
+    rng = np.random.default_rng(seed)
+    effects = random_complex(rng, (n_effects, d_out, d_out))
+    kraus = random_complex(rng, (n_kraus, d_out, d_in))
+    stacked = adjoint_kraus_array(effects, kraus)
+    assert stacked.shape == (n_effects, d_in, d_in)
+    for effect, image in zip(effects, stacked):
+        assert np.array_equal(image, adjoint_kraus_array(effect, kraus))
+
+
+@given(
+    st.lists(st.integers(2, 3), min_size=1, max_size=4).flatmap(
+        lambda dims: st.tuples(st.just(tuple(dims)), st.permutations(range(len(dims))))
+    ),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_embed_and_reorder_match_their_per_matrix_calls(case, n_ops, seed):
+    dims, order = case
+    target = tuple(order[: max(1, len(dims) // 2)])
+    rng = np.random.default_rng(seed)
+    d_t = math.prod(dims[a] for a in target)
+    ops = random_complex(rng, (n_ops, d_t, d_t))
+    embedded = embed_operator(ops, dims, target)
+    mats = random_complex(rng, (n_ops,) + (math.prod(dims),) * 2)
+    moved = reorder_array(mats, dims, order)
+    for op, image, mat, image2 in zip(ops, embedded, mats, moved):
+        assert np.array_equal(image, embed_operator(op, dims, target))
+        assert np.array_equal(image2, reorder_array(mat, dims, order))
