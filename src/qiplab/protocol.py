@@ -29,6 +29,10 @@ through the response onto (P, M) term by term; the challenge runs on
 (X, M, V), where X is P when d_P <= d_M and a copy of M otherwise.  No
 array is larger than (P, M) or (X, M, V).
 
+Family extraction and the two-round postselection read the verifier the
+same way, through the same closing terms and challenge scores, as the
+transcript scores S[y, z] of challenge y and response z.
+
 Prover strategies come in four forms, from the most general unentangled one
 (arbitrary workspace channels with measure-and-prepare message emission) to
 a fixed classical response table.  canonicalize_prover compresses the raw
@@ -268,27 +272,10 @@ def _check_simulator_dimension(layout: RegisterLayout):
         )
 
 
-def _geometry(spec: ProtocolSpec):
-    """The verifier's registers (M, V), checked against the budget, and M's axes."""
-    full = spec.joint_layout()
-    _check_simulator_dimension(full)
-    return full, full.axes(spec.m_layout.names)
-
-
 def _zero_state(dim: int) -> np.ndarray:
     rho = np.zeros((dim, dim), dtype=np.complex128)
     rho[0, 0] = 1.0
     return rho
-
-
-def _closing_effect(spec: ProtocolSpec) -> np.ndarray:
-    """v2^dag(accept) on (M, V): the verifier's last channel and flag as one effect.
-
-    A plain array: v2 is trace preserving only to KrausChannel's tolerance,
-    so the image need not pass MeasurementOperator's checks; the callers
-    check the probabilities it gives instead.
-    """
-    return adjoint_kraus_array(spec.accept.entries, spec.v2.kraus_ops)
 
 
 def checked_probability(p: float, what: str = "value") -> float:
@@ -419,24 +406,12 @@ def _challenge(spec: ProtocolSpec, layout: RegisterLayout) -> _Move:
     return _Move(swap, swap_axes, [pairs / n] * n, pairs[:: n + 1], coin_axes)
 
 
-def _challenged(spec: ProtocolSpec, front: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-    """The challenge move applied to `front` (x) |0><0|_V on `layout` = (X, M, V).
+def _copy_of_m(spec: ProtocolSpec) -> RegisterLayout:
+    """(M', M): one register of M's dimension in front of M.
 
-    `front` lives on (X, M): the prover's workspace and message, or a copy of
-    M and M.  The round's dephasing is left to the caller."""
-    d, d_v = len(front), spec.v_layout.total_dim
-    state = np.zeros((d, d_v, d, d_v), dtype=np.complex128)
-    state[:, 0, :, 0] = front
-    return _apply_move(state.reshape(d * d_v, -1), layout.dims, _challenge(spec, layout))
-
-
-def _with_copy_of_m(spec: ProtocolSpec) -> RegisterLayout:
-    """(M', M, V): one register of M's dimension in front of the verifier's.
-
-    Its name, longer than any of theirs, clashes with none of them."""
-    joint = spec.joint_layout()
-    name = "'" * (1 + max(len(n) for n in joint.names))
-    return RegisterLayout((name,), (spec.m_layout.total_dim,)).concat(joint)
+    Its name, longer than any of the protocol's, clashes with none of them."""
+    name = "'" * (1 + max(len(n) for n in spec.joint_layout().names))
+    return RegisterLayout((name,), (spec.m_layout.total_dim,)).concat(spec.m_layout)
 
 
 def _maximally_entangled(d: int) -> np.ndarray:
@@ -445,26 +420,25 @@ def _maximally_entangled(d: int) -> np.ndarray:
     return np.outer(phi, phi).astype(np.complex128)
 
 
-def _matrix_units(d: int) -> np.ndarray:
-    """Stack of the d^2 matrix units |a><b|, index a*d + b."""
-    return np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
-
-
 def _closing_terms(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The closing effect as sum_j X_j (x) B_j, X_j on M and B_j on V.
+    """v2^dag(accept) on (M, V) as sum_j X_j (x) B_j, X_j on M and B_j on V.
 
-    The effect is v2^dag(accept), dephased on M when the response round is
-    classical (dephasing is its own adjoint).  It is split over the matrix
-    units of the smaller of M and V, so there are min(d_M, d_V)^2 terms."""
+    The verifier's last channel and flag as one effect, dephased on M when
+    the response round is classical (dephasing is its own adjoint), split
+    over the matrix units of the smaller of M and V: min(d_M, d_V)^2 terms.
+    A plain array: v2 is trace preserving only to KrausChannel's tolerance,
+    so the callers check the probabilities it gives."""
     joint = spec.joint_layout()
-    effect = _closing_effect(spec)
+    effect = adjoint_kraus_array(spec.accept.entries, spec.v2.kraus_ops)
     if spec.response_round in spec.classical_rounds:
         effect = dephase_axes(effect, joint.dims, joint.axes(spec.m_layout.names))
     d_m, d_v = spec.m_layout.total_dim, spec.v_layout.total_dim
     blocks = effect.reshape(d_m, d_v, d_m, d_v)
+    d = min(d_m, d_v)
+    units = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)  # |a><b| at a*d + b
     if d_m <= d_v:
-        return _matrix_units(d_m), blocks.transpose(0, 2, 1, 3).reshape(d_m * d_m, d_v, d_v)
-    return blocks.transpose(1, 3, 0, 2).reshape(d_v * d_v, d_m, d_m), _matrix_units(d_v)
+        return units, blocks.transpose(0, 2, 1, 3).reshape(d * d, d_v, d_v)
+    return blocks.transpose(1, 3, 0, 2).reshape(d * d, d_m, d_m), units
 
 
 def _pulled_back(response: _Move, xs: np.ndarray, dims, m_axes) -> np.ndarray:
@@ -487,16 +461,20 @@ def _pulled_back(response: _Move, xs: np.ndarray, dims, m_axes) -> np.ndarray:
 def _challenge_scores(spec: ProtocolSpec, rho: np.ndarray, pm: RegisterLayout, bs) -> np.ndarray:
     """Q_j = tr_V[(I (x) B_j) sigma] on (P, M), sigma the state after the challenge.
 
-    The challenge runs on (X, M, V), followed by its round's dephasing.  X is
-    P when d_P <= d_M, and sigma starts from rho (x) |0><0|_V.  Otherwise X
-    is a copy of M and the challenge takes |Phi><Phi| (x) |0><0|_V; its block
-    (a, b) of X is the image of |a><b| on M, and rho's blocks rho_ab on P
-    are contracted in afterwards: Q_j = sum_ab rho_ab (x) (block (a, b))."""
-    d_m = spec.m_layout.total_dim
+    This is the one place the challenge move runs: on (X, M, V), followed by
+    its round's dephasing.  X is P when d_P <= d_M, and sigma starts from
+    rho (x) |0><0|_V.  Otherwise X is a copy of M and the challenge takes
+    |Phi><Phi| (x) |0><0|_V; its block (a, b) of X is the image of |a><b| on
+    M, and rho's blocks rho_ab on P are contracted in afterwards:
+    Q_j = sum_ab rho_ab (x) (block (a, b)).  M's registers come last in pm."""
+    d_m, d_v = spec.m_layout.total_dim, spec.v_layout.total_dim
     d_p = pm.total_dim // d_m
     on_p = d_p <= d_m
-    layout = pm.concat(spec.v_layout) if on_p else _with_copy_of_m(spec)
-    sigma = _challenged(spec, rho if on_p else _maximally_entangled(d_m), layout)
+    layout = (pm if on_p else _copy_of_m(spec)).concat(spec.v_layout)
+    front = rho if on_p else _maximally_entangled(d_m)
+    sigma = np.zeros((len(front), d_v, len(front), d_v), dtype=np.complex128)
+    sigma[:, 0, :, 0] = front
+    sigma = _apply_move(sigma.reshape(layout.total_dim, -1), layout.dims, _challenge(spec, layout))
     if spec.challenge_round in spec.classical_rounds:
         sigma = dephase_axes(sigma, layout.dims, layout.axes(spec.m_layout.names))
     scores = measure_array(sigma, layout.dims, bs, layout.axes(spec.v_layout.names))
@@ -510,13 +488,19 @@ def _challenge_scores(spec: ProtocolSpec, rho: np.ndarray, pm: RegisterLayout, b
     return q.reshape(n, pm.total_dim, pm.total_dim)
 
 
-def _opening_blocks(spec: ProtocolSpec) -> np.ndarray:
-    """The block on V of each challenge y of a two-round protocol's opening move.
+def _transcript_scores(spec: ProtocolSpec, front: np.ndarray, pm: RegisterLayout):
+    """S[y, z] = sum_j <z|X_j|z> <y|Q_j|y>_M on P, and tr_V of the challenged state.
 
-    Measuring M in its basis zeroes what dephasing the challenge would."""
-    full, m_axes = _geometry(spec)
-    rho = _challenged(spec, _zero_state(spec.m_layout.total_dim), full)
-    return measure_array(rho, full.dims, basis_projectors(spec.m_layout.total_dim), m_axes)
+    `front` is the state on `pm` = (P, M) before the challenge; the caller
+    holds (P, M, V) to the budget.  The marginal tr_V, the score of an
+    identity term appended to the B_j, has the challenge distribution on
+    its M-diagonal."""
+    xs, bs = _closing_terms(spec)
+    bs = np.concatenate([bs, np.eye(spec.v_layout.total_dim)[None]])
+    scores = _challenge_scores(spec, front, pm, bs)
+    d_m = spec.m_layout.total_dim
+    q = scores[:-1].reshape(len(xs), -1, d_m, pm.total_dim // d_m, d_m)
+    return np.einsum("jzz,jpyqy->yzpq", xs, q), scores[-1]
 
 
 def classical_response_channel(layout: RegisterLayout, responses: Mapping[str, str]) -> EbChannel:
@@ -565,32 +549,30 @@ def verifier_message_distribution(spec: ProtocolSpec) -> dict[str, float]:
     """Challenge distribution of a two-round protocol's opening move."""
     if spec.rounds != 2:
         raise ValidationError("message distribution is defined for two-round protocols")
-    blocks = _opening_blocks(spec)
-    return {
-        label: float(np.trace(block).real)
-        for label, block in zip(spec.m_layout.basis_labels(), blocks)
-    }
+    _check_simulator_dimension(spec.joint_layout())
+    _, marginal = _transcript_scores(spec, _zero_state(spec.m_layout.total_dim), spec.m_layout)
+    return dict(zip(spec.m_layout.basis_labels(), np.diagonal(marginal).real.tolist()))
 
 
 def postselected_acceptance(spec: ProtocolSpec, y: str, z: str) -> float:
     """Acceptance conditioned on challenge y being sent and response z given.
 
-    Requires the two-round shape with both messages classical.  The joint
-    state is projected onto challenge y and renormalized on V; the closing
-    effect compressed on response z, E_z = <z|v2^dag(accept)|z>, scores it.
+    Requires the two-round shape with both messages classical.  The transcript
+    score S[y, z] of the opening from |0><0|_M, the closing effect compressed
+    on response z against the state projected onto challenge y, is divided
+    by y's probability, read off the marginal.  (M, V) is held to the budget.
     """
     if spec.rounds != 2 or not {1, 2} <= spec.classical_rounds:
         raise ValidationError(
             "postselection needs a two-round protocol with both rounds classical"
         )
-    full, m_axes = _geometry(spec)
-    block = _opening_blocks(spec)[spec.m_layout.basis_index(y)]
-    p_y = float(np.trace(block).real)
+    _check_simulator_dimension(spec.joint_layout())
+    scores, marginal = _transcript_scores(spec, _zero_state(spec.m_layout.total_dim), spec.m_layout)
+    i = spec.m_layout.basis_index(y)
+    p_y = float(marginal[i, i].real)
     if p_y <= CONDITIONING_TOL:
         raise ConditioningError(f"challenge {y!r} has probability {p_y!r}; cannot condition")
-    z_effect = basis_projectors(spec.m_layout.total_dim)[spec.m_layout.basis_index(z), None]
-    e_z = measure_array(_closing_effect(spec), full.dims, z_effect, m_axes)[0]
-    p = float(np.trace(e_z @ block).real) / p_y
+    p = float(scores[i, spec.m_layout.basis_index(z), 0, 0].real) / p_y
     return checked_probability(p, "conditional acceptance")
 
 
@@ -649,12 +631,11 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
 
     For a three-round protocol with classical challenge and response, the
     acceptance of a prover that opens with rho on M and answers challenge y
-    with g(y) is sum_y tr(N_{y,g(y)} rho).  The challenge move runs once on
-    (M', M, V), from |Phi><Phi| on a copy M' of M and M: block (j, k) of M'
-    is the image of the matrix unit |j><k|.  The closing effect, compressed
-    on each response z to E_z = <z|v2^dag(accept)|z> on V, then scores every
-    challenge-conditioned block at once.  (M', M, V) is held to the
-    simulator budget.
+    with g(y) is sum_y tr(N_{y,g(y)} rho).  The transcript scores are read
+    once from |Phi><Phi| on a copy M' of M and M, as from a prover whose
+    workspace is M': S[y, z] on M' has entry (j, k) from the matrix unit
+    |j><k| on M, so N_{y,z} is S[y, z] transposed, then symmetrized.
+    (M', M, V) is held to the simulator budget.
     """
     if spec.rounds != 3:
         raise ValidationError("family extraction needs a three-round protocol")
@@ -662,23 +643,14 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
         raise ValidationError("family extraction needs a classical challenge round")
     if spec.response_round not in spec.classical_rounds:
         raise ValidationError("family extraction needs a classical response round")
-    full, m_axes = _geometry(spec)
-    layout = _with_copy_of_m(spec)
-    _check_simulator_dimension(layout)
-    d_m, d_v = spec.m_layout.total_dim, spec.v_layout.total_dim
-    labels = spec.m_layout.basis_labels()
-    basis = basis_projectors(d_m)
-    closing_blocks = measure_array(_closing_effect(spec), full.dims, basis, m_axes)
-    front = _maximally_entangled(d_m)
+    pm = _copy_of_m(spec)
+    _check_simulator_dimension(pm.concat(spec.v_layout))
+    front = _maximally_entangled(spec.m_layout.total_dim)
     if 1 in spec.classical_rounds:
-        front = dephase_axes(front, (d_m, d_m), (1,))
-    sigma = _challenged(spec, front, layout)
-    # sigma_V of each challenge y (measured in M's basis, so not dephased
-    # first) in block (j, k) of M', scored by tr(E_z sigma_V) for every z;
-    # tables[y, z] is N_{y,z} before symmetrization
-    blocks = measure_array(sigma, layout.dims, basis, layout.axes(spec.m_layout.names))
-    blocks = blocks.reshape(d_m, d_m, d_v, d_m, d_v)
-    tables = np.einsum("zab,yjbka->yzkj", closing_blocks, blocks)
+        front = dephase_axes(front, pm.dims, pm.axes(spec.m_layout.names))
+    scores, _ = _transcript_scores(spec, front, pm)
+    tables = scores.transpose(0, 1, 3, 2)
+    labels = spec.m_layout.basis_labels()
     return MeasurementFamily(labels, labels, spec.m_layout, (tables + dagger(tables)) / 2)
 
 

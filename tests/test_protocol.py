@@ -39,6 +39,7 @@ from qiplab.protocol import (
 )
 from qiplab.qmath import (
     Povm,
+    adjoint_kraus_array,
     apply_kraus_array,
     basis_projectors,
     dephase_axes,
@@ -137,10 +138,11 @@ def test_family_extraction_reproduces_simulated_acceptance():
         assert acceptance_probability(spec, prover) == pytest.approx(predicted, abs=1e-10)
 
 
-def drawn_raw_prover(w_dim, s_dim, v_dim, classical, seed):
+def drawn_raw_prover(w_dim, s_dim, v_dim, classical, seed, n_outcomes=2):
     rng = np.random.default_rng(seed)
     spec = random_verifier_spec(rng, v_dim=v_dim, classical=classical)
-    return spec, random_raw_prover(rng, spec, workspace=RegisterLayout(("W", "S"), (w_dim, s_dim)))
+    workspace = RegisterLayout(("W", "S"), (w_dim, s_dim))
+    return spec, random_raw_prover(rng, spec, workspace=workspace, n_outcomes=n_outcomes)
 
 
 # workspace dims W and S, verifier dim V, classical rounds, seed
@@ -170,7 +172,8 @@ def kraus_form_fold(spec, raw):
 
     Per branch, builds rho_M -> tr_R[mix2(sigma_R (x) |0><0|_S (x) rho_M)] as
     a Kraus channel from M to (S, M) and pulls the second emission POVM back
-    through its adjoint.  Returns the best branch's strategy and its sigma_R.
+    through its adjoint.  Returns the best branch's strategy, its sigma_R,
+    and the probability q_b and candidate value of every branch kept.
     """
     workspace = raw.workspace
     dims = workspace.concat(spec.m_layout).dims
@@ -191,6 +194,7 @@ def kraus_form_fold(spec, raw):
     zero_s = np.eye(d_s)[0]
     trace_ops = [np.kron(np.eye(d_r)[[i]], np.eye(d_s * d_m)) for i in range(d_r)]
     best = None
+    branches = []
     for block, prep in zip(blocks, raw.emit1.preps):
         q = float(np.trace(block).real)
         if q <= protocol.BRANCH_PROBABILITY_TOL:
@@ -212,16 +216,17 @@ def kraus_form_fold(spec, raw):
         povm = Povm(spec.m_layout, [g.entries for g in pulled])
         candidate = CanonicalStrategy(prep, EbChannel(povm, raw.emit2.preps))
         value = acceptance_probability(spec, candidate)
+        branches.append((q, value))
         if best is None or value > best[0]:
             best = (value, candidate, sigma_r)
-    return best[1], best[2]
+    return best[1], best[2], branches
 
 
 @raw_prover_draws
 @example(2, 2, 2, (), 0)
 def test_fold_matches_the_kraus_form_fold(w_dim, s_dim, v_dim, classical, seed):
     spec, raw = drawn_raw_prover(w_dim, s_dim, v_dim, classical, seed)
-    want, sigma_r = kraus_form_fold(spec, raw)
+    want, sigma_r, _ = kraus_form_fold(spec, raw)
     # sigma_R is complex, so a fold that used its transpose would differ
     assert np.max(np.abs(sigma_r - sigma_r.T)) > 1e-6
     got = canonicalize_prover(spec, raw)
@@ -229,6 +234,19 @@ def test_fold_matches_the_kraus_form_fold(w_dim, s_dim, v_dim, classical, seed):
     assert got.respond.povm.layout == want.respond.povm.layout
     for g, w in zip(got.respond.povm.effects, want.respond.povm.effects, strict=True):
         assert np.max(np.abs(g - w)) < 1e-13
+
+
+@raw_prover_draws
+@example(2, 2, 2, (), 0)
+def test_raw_value_is_the_branch_average_of_the_candidates(w_dim, s_dim, v_dim, classical, seed):
+    # after the first emission's outcome b the prover holds sigma_R (x) |0><0|_S
+    # and sends b's prepared message: it runs branch b's canonical candidate,
+    # so the raw value is their q_b-weighted average and the best one is no worse
+    for n_outcomes in (2, 3, 4):
+        spec, raw = drawn_raw_prover(w_dim, s_dim, v_dim, classical, seed, n_outcomes)
+        _, _, branches = kraus_form_fold(spec, raw)
+        average = sum(q * value for q, value in branches)
+        assert abs(acceptance_probability(spec, raw) - average) <= 1e-12
 
 
 def test_single_branch_canonicalization_is_exact():
@@ -296,6 +314,24 @@ def test_family_extraction_holds_its_copy_of_m_to_the_budget(monkeypatch):
         monkeypatch.setattr(protocol, name, no_allocation)
     with pytest.raises(BudgetError, match="simulator budget"):
         joint_response_operators(spec)
+
+
+def test_two_round_readers_hold_m_and_v_to_the_budget(monkeypatch):
+    spec = random_qcip2_spec(derived_rng(37, "budget"), m_dim=2, v_dim=3)  # (M, V) is 6
+    monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 6)
+    assert sum(verifier_message_distribution(spec).values()) == pytest.approx(1.0, abs=1e-12)
+    assert 0 <= postselected_acceptance(spec, "0", "0") <= 1
+    monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 5)
+
+    def no_allocation(*args):
+        raise AssertionError("a simulator array was allocated")
+
+    for name in ("_zero_state", "apply_kraus_array", "adjoint_kraus_array", "measure_array"):
+        monkeypatch.setattr(protocol, name, no_allocation)
+    with pytest.raises(BudgetError, match="simulator budget"):
+        verifier_message_distribution(spec)
+    with pytest.raises(BudgetError, match="simulator budget"):
+        postselected_acceptance(spec, "0", "0")
 
 
 def misfit_prover(spec, form):
@@ -383,6 +419,11 @@ def test_measure_and_prepare_matches_the_kraus_form(case):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def closing_effect(spec):
+    """v2^dag(accept) on (M, V), computed here rather than read from the simulator."""
+    return adjoint_kraus_array(spec.accept.entries, spec.v2.kraus_ops)
+
+
 def forward_closing(spec, rho, dims, mv_axes):
     """Test-only reference for the closing step: v2 applied to the state,
     then the accept flag contracted on (M, V)."""
@@ -411,8 +452,8 @@ def forward_acceptance(spec, prover):
 
 def forward_challenge_blocks(spec, rho):
     """sigma_V of each challenge after the challenge move, and the geometry."""
-    full, m_axes = protocol._geometry(spec)
-    dims = full.dims
+    full = spec.joint_layout()
+    dims, m_axes = full.dims, full.axes(spec.m_layout.names)
     rho = protocol._apply_move(rho, dims, protocol._challenge(spec, full))
     if spec.challenge_round in spec.classical_rounds:
         rho = dephase_axes(rho, dims, m_axes)
@@ -565,7 +606,7 @@ def applied_run_interaction(spec, prover):
     rho = protocol._apply_move(rho, dims, response)
     if spec.response_round in spec.classical_rounds:
         rho = dephase_axes(rho, dims, m_axes)
-    block = measure_array(rho, dims, [protocol._closing_effect(spec)], m_axes + v_axes)[0]
+    block = measure_array(rho, dims, [closing_effect(spec)], m_axes + v_axes)[0]
     return protocol.checked_probability(float(np.trace(block).real), "acceptance probability")
 
 
@@ -583,7 +624,7 @@ def forward_run_interaction(spec, prover):
         rho = protocol._apply_move(rho, dims, move)
         if round_ in spec.classical_rounds:
             rho = dephase_axes(rho, dims, m_axes)
-    block = measure_array(rho, dims, [protocol._closing_effect(spec)], m_axes + v_axes)[0]
+    block = measure_array(rho, dims, [closing_effect(spec)], m_axes + v_axes)[0]
     return protocol.checked_probability(float(np.trace(block).real), "acceptance probability")
 
 
@@ -659,7 +700,7 @@ def test_a_sim_large_run_passes_no_array_of_the_total_dimension(monkeypatch):
     assert sides and max(sides) < 256
 
 
-def applied_opening_blocks(spec):
+def applied_challenge_blocks(spec):
     full = spec.joint_layout()
     m_axes, v_axes = full.axes(spec.m_layout.names), full.axes(spec.v_layout.names)
     rho = applied_challenge(spec, protocol._zero_state(full.total_dim), full.dims, m_axes, v_axes, full)
@@ -669,10 +710,10 @@ def applied_opening_blocks(spec):
 def applied_postselected(spec, y, z):
     full = spec.joint_layout()
     m_axes = full.axes(spec.m_layout.names)
-    block = applied_opening_blocks(spec)[spec.m_layout.basis_index(y)]
+    block = applied_challenge_blocks(spec)[spec.m_layout.basis_index(y)]
     p_y = float(np.trace(block).real)
     z_effect = basis_projectors(spec.m_layout.total_dim)[spec.m_layout.basis_index(z), None]
-    e_z = measure_array(protocol._closing_effect(spec), full.dims, z_effect, m_axes)[0]
+    e_z = measure_array(closing_effect(spec), full.dims, z_effect, m_axes)[0]
     return protocol.checked_probability(float(np.trace(e_z @ block).real) / p_y)
 
 
@@ -685,7 +726,7 @@ def applied_family(spec):
     v_zero = protocol._zero_state(spec.v_layout.total_dim)
     basis = basis_projectors(d_m)
     kets = np.eye(d_m)
-    closing_blocks = measure_array(protocol._closing_effect(spec), dims, basis, m_axes)
+    closing_blocks = measure_array(closing_effect(spec), dims, basis, m_axes)
     tables = np.zeros((d_m, d_m, d_m, d_m), dtype=np.complex128)
     for j in range(d_m):
         for k in range(d_m):
@@ -711,18 +752,19 @@ def test_challenge_move_matches_the_applied_challenge_exactly(case):
         assert forward_run_interaction(spec, prover) == applied_run_interaction(spec, prover)
     labels = spec.m_layout.basis_labels()
     if rounds == 2:
-        want = [float(np.trace(block).real) for block in applied_opening_blocks(spec)]
+        want = [float(np.trace(block).real) for block in applied_challenge_blocks(spec)]
         assert list(verifier_message_distribution(spec).values()) == want
     if rounds == 2 and classical == {1, 2}:
         for y in labels:
             for z in labels:
-                assert postselected_acceptance(spec, y, z) == applied_postselected(spec, y, z)
+                got = postselected_acceptance(spec, y, z)
+                assert abs(got - applied_postselected(spec, y, z)) <= 1e-13
     if rounds == 3 and {2, 3} <= classical:
         family = joint_response_operators(spec)
         want = applied_family(spec)
         for y_idx, y in enumerate(labels):
             for z_idx, z in enumerate(labels):
-                assert np.array_equal(family.op(y, z).entries, want[y_idx, z_idx])
+                assert np.max(np.abs(family.op(y, z).entries - want[y_idx, z_idx])) <= 1e-13
 
 def test_postselection_recomposes_the_total_acceptance():
     for trial in range(10):
