@@ -441,21 +441,14 @@ def _closing_terms(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
     return blocks.transpose(1, 3, 0, 2).reshape(d * d, d_m, d_m), units
 
 
-def _pulled_back(response: _Move, xs: np.ndarray, dims, m_axes) -> np.ndarray:
-    """A_j = R^dag(I_P (x) X_j) on (P, M) for the stack `xs` of X_j on M.
-
-    R is the response move.  Each X_j goes back through the emission first,
-    as sum_l <phi_l|X_j|phi_l> F_l on (S, M), then through the Kraus
-    operators, as sum_k K_k^dag . K_k, all terms in one stack."""
-    ys, axes = xs, m_axes
-    if len(response.effects):
-        phis = response.preps.reshape(len(response.preps), -1, xs.shape[-1])
-        weights = np.einsum("lsa,jab,lsb->jl", phis.conj(), xs, phis)
-        ys, axes = np.tensordot(weights, response.effects, 1), response.emit_axes
-    ys = embed_operator(ys, dims, axes)
-    if len(response.kraus):
-        ys = adjoint_kraus_array(ys, response.kraus)
-    return ys
+def _pulled_back(kraus: np.ndarray, effects: np.ndarray, dims, axes) -> np.ndarray:
+    """sum_k K_k^dag (E (x) I) K_k for each E of the stack `effects` on `axes`
+    of `dims`, or E (x) I with no Kraus operators: run_interaction pulls its
+    closing terms back as one stack, canonicalize_prover one effect at a time."""
+    effects = embed_operator(effects, dims, axes)
+    if len(kraus):
+        effects = adjoint_kraus_array(effects, kraus)
+    return effects
 
 
 def _challenge_scores(spec: ProtocolSpec, rho: np.ndarray, pm: RegisterLayout, bs) -> np.ndarray:
@@ -535,7 +528,12 @@ def run_interaction(spec: ProtocolSpec, prover: ProverStrategy) -> float:
         if 1 in spec.classical_rounds:
             rho = dephase_axes(rho, pm.dims, m_axes)
     xs, bs = _closing_terms(spec)
-    pulled = _pulled_back(response, xs, pm.dims, m_axes)
+    axes = m_axes
+    if len(response.effects):  # X_j -> sum_l <phi_l|X_j|phi_l> F_l on (S, M)
+        phis = response.preps.reshape(len(response.preps), -1, xs.shape[-1])
+        weights = np.einsum("lsa,jab,lsb->jl", phis.conj(), xs, phis)
+        xs, axes = np.tensordot(weights, response.effects, 1), response.emit_axes
+    pulled = _pulled_back(response.kraus, xs, pm.dims, axes)
     scores = _challenge_scores(spec, rho, pm, bs)
     p = np.einsum("jab,jba->", pulled, scores).real
     return checked_probability(float(p), "acceptance probability")
@@ -546,11 +544,13 @@ def acceptance_probability(spec: ProtocolSpec, prover: ProverStrategy) -> float:
 
 
 def verifier_message_distribution(spec: ProtocolSpec) -> dict[str, float]:
-    """Challenge distribution of a two-round protocol's opening move."""
+    """Challenge distribution of a two-round protocol's opening move: the
+    M-diagonal of tr_V of the challenged state, challenged from |0><0|_M."""
     if spec.rounds != 2:
         raise ValidationError("message distribution is defined for two-round protocols")
     _check_simulator_dimension(spec.joint_layout())
-    _, marginal = _transcript_scores(spec, _zero_state(spec.m_layout.total_dim), spec.m_layout)
+    eye_v = np.eye(spec.v_layout.total_dim)[None]
+    marginal = _challenge_scores(spec, _zero_state(spec.m_layout.total_dim), spec.m_layout, eye_v)[0]
     return dict(zip(spec.m_layout.basis_labels(), np.diagonal(marginal).real.tolist()))
 
 
@@ -583,13 +583,13 @@ def postselected_acceptance(spec: ProtocolSpec, y: str, z: str) -> float:
 def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStrategy:
     """Fold a raw unentangled prover into canonical form, never losing value.
 
-    Enumerates the branches of the first emission POVM.  Each second
-    emission effect F_l is pulled back once through mix2, to
-    A_l = mix2^dag(I_R (x) F_l) on (P, M); a branch with residual workspace
-    state sigma_R compresses them to the response POVM
-    G_l = tr_{R,S}[(sigma_R (x) |0><0|_S (x) I_M) A_l], which keeps the
-    emitted states.  The branch with the best conditional acceptance wins
-    (ties break toward the lowest index).
+    Enumerates the branches of the first emission POVM, each with the lens
+    sigma_R (x) |0><0|_S of its residual workspace state.  Each second
+    emission effect F_l in turn is pulled back through mix2, to
+    A_l = mix2^dag(I_R (x) F_l) on (P, M), and folded on every branch to
+    G_l = tr_{R,S}[(lens (x) I_M) A_l], so one A_l is held at a time.  A
+    branch's G_l, with the emitted states, are its response.  The branch with
+    the best conditional acceptance wins (ties break toward the lowest index).
     """
     pm, opening, response = _prover_moves(spec, raw, fold=True)
     dims = pm.dims
@@ -601,25 +601,24 @@ def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStr
     rho1 = apply_kraus_array(_zero_state(pm.total_dim), dims, opening.kraus, opening.kraus_axes)
     # the residual workspace state of each branch, unnormalized, on R
     blocks = measure_array(rho1, dims, opening.effects, sm_axes)
-    pulled = adjoint_kraus_array(embed_operator(response.effects, dims, sm_axes), response.kraus)
-
-    best: tuple[float, CanonicalStrategy] | None = None
+    branches = []  # the prepared message, lens and folded effects of each branch kept
     for block, prep in zip(blocks, raw.emit1.preps):
         q = float(np.trace(block).real)
         if q <= BRANCH_PROBABILITY_TOL:
             continue
         sigma_r = block / q
-        sigma_r = (sigma_r + dagger(sigma_r)) / 2
-        lens = np.kron(sigma_r, zero_s)
-        folded = [measure_array(a, dims, [lens], r_axes + s_axes)[0] for a in pulled]
-        povm = Povm(spec.m_layout, folded)
-        candidate = CanonicalStrategy(prep, EbChannel(povm, raw.emit2.preps))
-        value = acceptance_probability(spec, candidate)
-        if best is None or value > best[0]:
-            best = (value, candidate)
-    if best is None:
+        branches.append((prep, np.kron((sigma_r + dagger(sigma_r)) / 2, zero_s), []))
+    if not branches:
         raise NumericsError("no emission branch has positive probability")
-    return best[1]
+    for effect in response.effects:
+        a = _pulled_back(response.kraus, effect, dims, sm_axes)
+        for _, lens, folded in branches:
+            folded.append(measure_array(a, dims, [lens], r_axes + s_axes)[0])
+    candidates = [
+        CanonicalStrategy(prep, EbChannel(Povm(spec.m_layout, folded), raw.emit2.preps))
+        for prep, _, folded in branches
+    ]
+    return max(candidates, key=lambda c: acceptance_probability(spec, c))
 
 
 # ---------------------------------------------------------------------------

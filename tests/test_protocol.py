@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from qiplab.qmath import (
     apply_kraus_array,
     basis_projectors,
     dephase_axes,
+    embed_operator,
     kron_all,
     measure_array,
     prepare_array,
@@ -247,6 +249,67 @@ def test_raw_value_is_the_branch_average_of_the_candidates(w_dim, s_dim, v_dim, 
         _, _, branches = kraus_form_fold(spec, raw)
         average = sum(q * value for q, value in branches)
         assert abs(acceptance_probability(spec, raw) - average) <= 1e-12
+
+
+def stacked_fold(spec, raw):
+    """Test-only copy of canonicalize_prover when it pulled every second
+    emission effect back through mix2 at once, as one stack, and folded the
+    stack on each branch in turn."""
+    pm, opening, response = protocol._prover_moves(spec, raw, fold=True)
+    dims = pm.dims
+    sm_axes = opening.emit_axes
+    s_axes = sm_axes[: len(sm_axes) - len(spec.m_layout.names)]
+    r_axes = tuple(a for a in opening.kraus_axes if a not in sm_axes)
+    zero_s = protocol._zero_state(math.prod(dims[a] for a in s_axes))
+    rho1 = apply_kraus_array(protocol._zero_state(pm.total_dim), dims, opening.kraus, opening.kraus_axes)
+    blocks = measure_array(rho1, dims, opening.effects, sm_axes)
+    pulled = adjoint_kraus_array(embed_operator(response.effects, dims, sm_axes), response.kraus)
+    best = None
+    for block, prep in zip(blocks, raw.emit1.preps):
+        q = float(np.trace(block).real)
+        if q <= protocol.BRANCH_PROBABILITY_TOL:
+            continue
+        sigma_r = block / q
+        sigma_r = (sigma_r + sigma_r.conj().T) / 2
+        lens = np.kron(sigma_r, zero_s)
+        folded = [measure_array(a, dims, [lens], r_axes + s_axes)[0] for a in pulled]
+        candidate = CanonicalStrategy(prep, EbChannel(Povm(spec.m_layout, folded), raw.emit2.preps))
+        value = acceptance_probability(spec, candidate)
+        if best is None or value > best[0]:
+            best = (value, candidate)
+    return best[1]
+
+
+@raw_prover_draws
+@example(2, 2, 2, (), 0)
+def test_fold_one_effect_at_a_time_keeps_every_bit_of_the_stacked_fold(
+    w_dim, s_dim, v_dim, classical, seed
+):
+    for n_outcomes in (2, 3, 4):
+        spec, raw = drawn_raw_prover(w_dim, s_dim, v_dim, classical, seed, n_outcomes)
+        want = stacked_fold(spec, raw)
+        got = canonicalize_prover(spec, raw)
+        assert got.first_message is want.first_message
+        assert np.array_equal(got.respond.povm.effects, want.respond.povm.effects)
+
+
+def test_fold_memory_does_not_grow_with_the_emission_outcomes():
+    # (W, S) = (64, 2) and M = 2: each effect pulled back onto (P, M) is a
+    # 256 x 256 complex matrix, 1 MiB, so holding all of them at once would
+    # add 22 MiB from 2 to 24 outcomes, and more with the temporaries
+    rng = derived_rng(3, "mem")
+    spec = random_verifier_spec(rng)
+    workspace = RegisterLayout(("W", "S"), (64, 2))
+    peaks = []
+    for n_outcomes in (2, 24):
+        raw = random_raw_prover(rng, spec, workspace=workspace, n_outcomes=n_outcomes)
+        tracemalloc.start()
+        try:
+            canonicalize_prover(spec, raw)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16 * 2**20
 
 
 def test_single_branch_canonicalization_is_exact():
@@ -765,6 +828,21 @@ def test_challenge_move_matches_the_applied_challenge_exactly(case):
         for y_idx, y in enumerate(labels):
             for z_idx, z in enumerate(labels):
                 assert np.max(np.abs(family.op(y, z).entries - want[y_idx, z_idx])) <= 1e-13
+
+
+@given(st.booleans(), st.booleans(), st.integers(2, 4), st.integers(4, 5), st.integers(0, 2**32 - 1))
+@example(False, False, 2, 4, 0)
+@example(True, True, 4, 5, 1)
+def test_message_distribution_matches_the_applied_challenge_on_a_larger_v(
+    public, classical_response, m_dim, v_dim, seed
+):
+    # with d_V of 4 or 5 the trace over V may sum in another order than np.trace
+    classical = frozenset({1, 2} if classical_response else {1})
+    spec = drawn_spec(np.random.default_rng(seed), 2, public, classical, m_dim, v_dim)
+    want = [float(np.trace(block).real) for block in applied_challenge_blocks(spec)]
+    got = list(verifier_message_distribution(spec).values())
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+
 
 def test_postselection_recomposes_the_total_acceptance():
     for trial in range(10):
