@@ -42,7 +42,7 @@ from .protocol import (
 )
 from .qmath import MeasurementOperator, Povm, PureState, RegisterLayout
 from .random_instances import random_eb_channel, random_raw_prover, random_verifier_spec
-from .utils import derived_rng
+from .utils import checked_seed, derived_rng
 
 
 def fmt17(x: float) -> str:
@@ -119,11 +119,25 @@ def _items(value: Any, key: str, kind: type) -> tuple[Any, ...]:
     return tuple(_convert(key, kind, item) for item in value)
 
 
+# How far past 1 a decoded entry's modulus may be.  Every decoded matrix is
+# a Kraus operator of a trace-preserving channel, an effect 0 <= E <= I or a
+# unit state's amplitudes, so each entry has modulus at most 1, up to the
+# 1e-8 its own check allows.  A larger entry is refused here, before any
+# product of entries can overflow.
+ENTRY_MODULUS_TOL = 1e-6
+
+
 def _decode_array(pairs: Any, shape: tuple[int, ...]) -> np.ndarray:
     count = math.prod(shape)
     if not isinstance(pairs, list) or len(pairs) != count:
         raise ValidationError(f"expected a list of {count} entries for shape {shape}")
     flat = [complex(_convert("entry", float, re), _convert("entry", float, im)) for re, im in pairs]
+    for entry in flat:
+        if math.hypot(entry.real, entry.imag) > 1.0 + ENTRY_MODULUS_TOL:
+            raise ValidationError(
+                f"entry {entry!r} has modulus above 1 + {ENTRY_MODULUS_TOL}; "
+                "no channel, effect or state has one"
+            )
     return np.array(flat, dtype=np.complex128).reshape(shape)
 
 
@@ -325,6 +339,9 @@ class ExperimentConfig:
         unknown = set(self.params) - set(table)
         if unknown:
             raise ValidationError(f"unknown parameters for {self.command}: {sorted(unknown)}")
+        if "seed" in merged:
+            # refused whether or not this run draws from it
+            checked_seed(merged["seed"])
         object.__setattr__(self, "params", merged)
 
     def document(self) -> dict[str, Any]:

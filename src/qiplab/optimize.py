@@ -76,6 +76,14 @@ RESPONSE_ALPHABET_CAP = 8
 # response maps, weight rows or see-saw restarts may have; longer stacks are
 # cut into chunks, so memory does not grow with maps, trials or restarts.
 STACK_ELEMENTS = 2**20
+# Rows the covering bound takes at once: candidate triangles and their
+# lattice determinants in _fibonacci_triangles, triangles and paired edges in
+# _certify_delaunay.  Each of a block's few dozen float64 temporaries is then
+# 16 KB, so the blocks reuse the same heap memory call after call instead of
+# faulting in fresh pages for net-sized temporaries.  Of 2**10 to 2**13, this
+# size made as few page faults as any and took the least CPU per call at
+# N = 5000 on a 2-core host.
+NET_BLOCK_ELEMENTS = 2**11
 
 
 @dataclass(frozen=True)
@@ -171,6 +179,13 @@ def _chunks(count: int, elements_each: int):
     step = max(1, STACK_ELEMENTS // elements_each)
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
+
+
+def _blocks(rows: np.ndarray):
+    """Consecutive slices of the array ``rows``, NET_BLOCK_ELEMENTS rows each
+    (the last one shorter)."""
+    for start in range(0, len(rows), NET_BLOCK_ELEMENTS):
+        yield rows[start : start + NET_BLOCK_ELEMENTS]
 
 
 def _response_tables(n_y: int, n_z: int, maps: slice) -> np.ndarray:
@@ -397,12 +412,17 @@ def _fibonacci_net(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return points, z, phi
 
 
+def _net_states(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The qubit states whose Bloch vectors have heights z and azimuths phi,
+    one row each."""
+    half = np.arccos(np.clip(z, -1.0, 1.0)) / 2
+    return np.stack([np.cos(half), np.exp(1j * phi) * np.sin(half)], axis=1)
+
+
 def fibonacci_sphere_states(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n spread points on the Bloch sphere and the matching qubit states."""
     points, z, phi = _fibonacci_net(n)
-    half = np.arccos(np.clip(z, -1.0, 1.0)) / 2
-    states = np.stack([np.cos(half), np.exp(1j * phi) * np.sin(half)], axis=1)
-    return points, states.astype(np.complex128)
+    return points, _net_states(z, phi)
 
 
 # Window of k - p in which the net's Delaunay triangles (i, i+F_{k-1}, i+F_{k+1})
@@ -432,12 +452,18 @@ def _quad_orientation(x, y, z, q0, q1, q2, q3):
     return ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx)
 
 
-def _corner_normals(x, y, z, a, b, c):
-    """The components of (b - a) x (c - a) for index arrays a, b, c, and its
-    dot product with a, which is det(a, b, c)."""
-    xa, ya, za = x[a], y[a], z[a]
-    ux, uy, uz = x[b] - xa, y[b] - ya, z[b] - za
-    vx, vy, vz = x[c] - xa, y[c] - ya, z[c] - za
+def _corners(x, y, z, *index):
+    """The coordinates (x, y, z) of the points at each index array: one
+    gather per corner, shared by every formula that reads that corner."""
+    return [(x[i], y[i], z[i]) for i in index]
+
+
+def _corner_normals(pa, pb, pc):
+    """The components of (b - a) x (c - a) for gathered corners a, b, c (see
+    _corners), and its dot product with a, which is det(a, b, c)."""
+    xa, ya, za = pa
+    ux, uy, uz = pb[0] - xa, pb[1] - ya, pb[2] - za
+    vx, vy, vz = pc[0] - xa, pc[1] - ya, pc[2] - za
     nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
     return (nx, ny, nz), nx * xa + ny * ya + nz * za
 
@@ -462,6 +488,7 @@ def _fibonacci_triangles(n: int) -> np.ndarray:
     """
     points, _, _ = _fibonacci_net(n)
     x, y, z = (np.ascontiguousarray(col) for col in points.T)
+    del points  # the columns are copies; every net-sized array freed early shrinks the peak
     fib = [0, 1, 1]
     while fib[-1] < n:
         fib.append(fib[-1] + fib[-2])
@@ -480,20 +507,6 @@ def _fibonacci_triangles(n: int) -> np.ndarray:
             (room >= _PHI ** (2 * (k - _ZONE_ABOVE)) / scale)
             & (room <= _PHI ** (2 * (k + below)) / scale)
         )
-    # quad[k][i]: the sorted determinant of Q_k(i) where a candidate needs it,
-    # NaN elsewhere.  Q_k(i) does not fit for i >= n - F_{k+1}, so those
-    # entries stay NaN, and a negative index i - F_{k-1} reads one of them.
-    quad = {}
-    for k in range(3, max(windows) + 2):
-        need = np.zeros(n, dtype=bool)
-        need[windows.get(k, [])] = True
-        level_below = windows[k - 1]
-        need[level_below] = True
-        need[level_below - fib[k - 1]] = True
-        need[max(n - fib[k + 1], 0) :] = False
-        i = np.flatnonzero(need)
-        quad[k] = np.full(n, np.nan)
-        quad[k][i] = _quad_orientation(x, y, z, i, i + fib[k - 1], i + fib[k], i + fib[k + 1])
     # a reflection r lies inside the circumcircle of (a, b, c) when its height
     # over the triangle, positively oriented, is positive.  Listed as (a, b, c),
     # r's height is the sorted determinant times the parity that sorts
@@ -501,30 +514,48 @@ def _fibonacci_triangles(n: int) -> np.ndarray:
     # both of (i, i+F_k, i+F_{k+1}); orienting multiplies it by sign(det).
     # A tie drops the triangle unless the tested edge is its long one.
     rows = []
-    for k, i in windows.items():
-        if k == 2:
-            shapes = [(i + 1, [], [-quad[3][i - 1], quad[3][i]])]
-        else:
-            shapes = [
-                (i + fib[k - 1], [-quad[k][i]], [-quad[k + 1][i - fib[k]]]),
-                (i + fib[k], [quad[k][i]], [quad[k + 1][i]]),
-            ]
-        c = i + fib[k + 1]
-        for b, long_edge, far_edges in shapes:
-            sign = np.sign(_corner_normals(x, y, z, i, b, c)[1])
-            drop = np.zeros(len(i), dtype=bool)
-            for height in long_edge:
-                drop |= sign * height > 0
-            for height in far_edges:
-                drop |= sign * height >= 0
-            flip = sign < 0
-            rows.append(np.stack([i, np.where(flip, c, b), np.where(flip, b, c)], axis=1)[~drop])
+    lower = None
+    for k, window in windows.items():
+        # upper[j]: the sorted determinant of Q_{k+1}(j) where a candidate of
+        # window k or k + 1 needs it, NaN elsewhere; lower is the same for Q_k,
+        # kept from the window before.  Q_{k+1}(j) does not fit for
+        # j >= n - F_{k+2}, so those entries stay NaN, and a negative index
+        # i - F_k reads one of them.
+        need = np.zeros(n, dtype=bool)
+        need[windows.get(k + 1, [])] = True
+        need[window] = True
+        need[window - fib[k]] = True
+        need[max(n - fib[k + 2], 0) :] = False
+        upper = np.full(n, np.nan)
+        for j in _blocks(np.flatnonzero(need)):
+            upper[j] = _quad_orientation(x, y, z, j, j + fib[k], j + fib[k + 1], j + fib[k + 2])
+        for i in _blocks(window):
+            if k == 2:
+                shapes = [(i + 1, [], [-upper[i - 1], upper[i]])]
+            else:
+                shapes = [
+                    (i + fib[k - 1], [-lower[i]], [-upper[i - fib[k]]]),
+                    (i + fib[k], [lower[i]], [upper[i]]),
+                ]
+            c = i + fib[k + 1]
+            for b, long_edge, far_edges in shapes:
+                sign = np.sign(_corner_normals(*_corners(x, y, z, i, b, c))[1])
+                drop = np.zeros(len(i), dtype=bool)
+                for height in long_edge:
+                    drop |= sign * height > 0
+                for height in far_edges:
+                    drop |= sign * height >= 0
+                flip = sign < 0
+                rows.append(np.stack([i, np.where(flip, c, b), np.where(flip, b, c)], axis=1)[~drop])
+        lower = upper
     return np.concatenate(rows)
 
 
-def _certify_delaunay(x, y, z, triangles: np.ndarray):
+def _certify_delaunay(x, y, z, triangles: np.ndarray) -> float:
     """Check that ``triangles`` are the Delaunay triangles of the points
-    (x, y, z) on the unit sphere, and return their normals (b - a) x (c - a).
+    (x, y, z) on the unit sphere, and return the cosine of the covering
+    angle: the least, over triangles, of the greatest cosine between the
+    triangle's unit normal (b - a) x (c - a) and its corners.
 
     Each failed check raises NumericsError:
 
@@ -548,48 +579,81 @@ def _certify_delaunay(x, y, z, triangles: np.ndarray):
     facets.  Check 5 takes the in-circle determinant over the four corners
     in index order, as _fibonacci_triangles does, so the two triangles of an
     edge read the same rounded number.
+
+    Every check but 1 and 3 is local to a triangle or an edge: checks 2 and 4
+    and the cosines run over blocks of NET_BLOCK_ELEMENTS triangles, each
+    block gathering its corners once, and check 5 over blocks of as many
+    paired edges.  Check 3 is the one sort over the whole net.  The checks
+    fail in the order listed.
     """
-    n = len(x)
-    if len(triangles) != 2 * n - 4 or np.bincount(triangles.ravel(), minlength=n).min() == 0:
+    n, count = len(x), len(triangles)
+    if count != 2 * n - 4 or np.bincount(triangles.ravel(), minlength=n).min() == 0:
         raise NumericsError(
-            f"{len(triangles)} net triangles do not triangulate {n} points (need {2 * n - 4})"
+            f"{count} net triangles do not triangulate {n} points (need {2 * n - 4})"
         )
-    a, b, c = triangles.T
-    normal, det = _corner_normals(x, y, z, a, b, c)
-    if not np.all(det > 0):
-        # the centre is not strictly inside, so the points fit in a hemisphere
-        # or a triangle is folded over
-        raise NumericsError("net triangles do not all face away from the centre of the sphere")
-    head = np.concatenate([a, b, c])
-    tail = np.concatenate([b, c, a])
-    third = np.concatenate([c, a, b])
-    # each undirected edge must come out of the sort exactly twice, once in
-    # each direction; the partner's third corner is the opposite vertex
-    edge_key = np.minimum(head, tail).astype(np.int64) * n + np.maximum(head, tail)
-    order = np.argsort(edge_key)
-    key = edge_key[order]
+    solid_angle = 0.0
+    covering_cos = math.inf
+    for block in _blocks(triangles):
+        corners = _corners(x, y, z, *block.T)
+        (nx, ny, nz), det = _corner_normals(*corners)
+        if not np.all(det > 0):
+            # the centre is not strictly inside, so the points fit in a
+            # hemisphere or a triangle is folded over
+            raise NumericsError("net triangles do not all face away from the centre of the sphere")
+        (xa, ya, za), (xb, yb, zb), (xc, yc, zc) = corners
+        dots = (
+            xa * xb + ya * yb + za * zb + xb * xc + yb * yc + zb * zc + xc * xa + yc * ya + zc * za
+        )
+        solid_angle += 2 * float(np.arctan2(det, 1.0 + dots).sum())
+        norm = np.sqrt(nx * nx + ny * ny + nz * nz)
+        nx, ny, nz = nx / norm, ny / norm, nz / norm
+        facet_cos = np.max([nx * cx + ny * cy + nz * cz for cx, cy, cz in corners], axis=0)
+        covering_cos = min(covering_cos, float(facet_cos.min()))
+    # directed edge 3t + j runs from corner j of triangle t to corner j + 1.
+    # Each undirected edge must come out of the sort exactly twice, once in
+    # each direction; the partner's third corner is the opposite vertex.
+    key = np.empty((count, 3), dtype=np.int64)
+    forward = np.empty((count, 3), dtype=bool)
+    for j in range(3):
+        head, tail = triangles[:, j], triangles[:, (j + 1) % 3]
+        np.minimum(head, tail, out=key[:, j])
+        key[:, j] *= n
+        key[:, j] += np.maximum(head, tail)
+        np.less(head, tail, out=forward[:, j])
+    # stable, so each pair comes out lower edge first; which directed edge of
+    # a pair is first changes neither check 3 nor check 5's sorted corners
+    order = np.argsort(key.ravel(), kind="stable")
+    key = key.ravel()[order]
+    forward = forward.ravel()
     first, second = order[0::2], order[1::2]
     if not (
         np.array_equal(key[0::2], key[1::2])
         and np.all(key[2::2] > key[1:-1:2])
-        and np.all((head[first] < tail[first]) != (head[second] < tail[second]))
+        and np.all(forward[first] != forward[second])
     ):
         raise NumericsError("net triangles do not pair every directed edge with its reverse")
-    xa, ya, za, xb, yb, zb, xc, yc, zc = x[a], y[a], z[a], x[b], y[b], z[b], x[c], y[c], z[c]
-    dots = xa * xb + ya * yb + za * zb + xb * xc + yb * yc + zb * zc + xc * xa + yc * ya + zc * za
-    coverings = 2 * np.arctan2(det, 1.0 + dots).sum() / (4 * np.pi)
+    del key, forward  # check 5 reads only first and second
+    coverings = solid_angle / (4 * np.pi)
     if abs(coverings - 1.0) > COVERING_COUNT_TOL:
         raise NumericsError(f"net triangles cover the sphere {coverings:.6g} times, not once")
-    # sort each edge's four corners with a sorting network, tracking parity
-    q = [head[first], tail[first], third[first], third[second]]
-    odd = np.zeros(len(first), dtype=bool)
-    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
-        odd ^= q[i] > q[j]
-        q[i], q[j] = np.minimum(q[i], q[j]), np.maximum(q[i], q[j])
-    height = _quad_orientation(x, y, z, *q)
-    if np.any(np.where(odd, -height, height) > 0):
-        raise NumericsError("a net triangle's circumcircle holds its neighbour across an edge")
-    return normal
+    flat = triangles.ravel()
+    for edge, partner in zip(_blocks(first), _blocks(second)):
+        base = edge - edge % 3
+        # sort each edge's four corners with a sorting network, tracking parity
+        q = [
+            flat[edge],
+            flat[base + (edge + 1) % 3],
+            flat[base + (edge + 2) % 3],
+            flat[partner - partner % 3 + (partner + 2) % 3],
+        ]
+        odd = np.zeros(len(edge), dtype=bool)
+        for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+            odd ^= q[i] > q[j]
+            q[i], q[j] = np.minimum(q[i], q[j]), np.maximum(q[i], q[j])
+        height = _quad_orientation(x, y, z, *q)
+        if np.any(np.where(odd, -height, height) > 0):
+            raise NumericsError("a net triangle's circumcircle holds its neighbour across an edge")
+    return covering_cos
 
 
 def net_covering_error(points: np.ndarray) -> float:
@@ -604,17 +668,17 @@ def net_covering_error(points: np.ndarray) -> float:
     raises NumericsError; points that are not that net fail it unless their
     triangulation is the net's.  Where four or more points are cocircular,
     every split of their polygon has the same circumcircle, so the bound
-    does not depend on the split.  It needs O(N) time and memory.
+    does not depend on the split.  It takes O(N log N) time, for the one
+    sort that pairs the net's 6N - 12 directed edges.  Past the O(N) arrays
+    of the net, its triangles and that sort, the triangle builder and the
+    certificate work in blocks of NET_BLOCK_ELEMENTS rows, so their other
+    temporaries do not grow with N.
     """
     x, y, z = (np.ascontiguousarray(col, dtype=float) for col in np.asarray(points).T)
     if len(x) < 4:
         raise NumericsError(f"{len(x)} net points span no triangulation")
-    triangles = _fibonacci_triangles(len(x))
-    nx, ny, nz = _certify_delaunay(x, y, z, triangles)
-    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
-    nx, ny, nz = nx / norm, ny / norm, nz / norm
-    facet_cos = np.max([nx * x[t] + ny * y[t] + nz * z[t] for t in triangles.T], axis=0)
-    alpha = float(np.arccos(np.clip(facet_cos.min(), -1.0, 1.0)))
+    covering_cos = _certify_delaunay(x, y, z, _fibonacci_triangles(len(x)))
+    alpha = float(np.arccos(np.clip(covering_cos, -1.0, 1.0)))
     return math.sin(alpha / 2)
 
 
@@ -648,7 +712,7 @@ def brute_force_unentangled_value(
             f"net resolution {cfg.net_resolution} exceeds the budget {NET_RESOLUTION_BUDGET}"
         )
     fam = joint_response_operators(spec)
-    points, states = fibonacci_sphere_states(cfg.net_resolution)
+    points, z, phi = _fibonacci_net(cfg.net_resolution)
     n_y, n_z = fam.effects.shape[:2]
     # with one-qubit M there are 2 challenges and 2 responses: four maps,
     # scanned as one stack in lexicographic order (argmax keeps the first max)
@@ -661,7 +725,8 @@ def brute_force_unentangled_value(
     g_idx, s_idx = np.unravel_index(np.argmax(values), values.shape)
     witness = {
         "responses": {y: fam.responses[z] for y, z in zip(fam.challenges, tables[g_idx])},
-        "state": states[s_idx],
+        # the witness alone: its state row is the one fibonacci_sphere_states makes
+        "state": _net_states(z[s_idx : s_idx + 1], phi[s_idx : s_idx + 1])[0],
     }
     return ValueReport(
         float(values[g_idx, s_idx]), witness, (), "net", net_error=net_covering_error(points)

@@ -29,20 +29,25 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
+def checked_seed(seed: int) -> int:
+    """``seed`` as an int if it is one 64-bit word, in [0, 2**64); a seed
+    outside is refused, not wrapped onto one inside it."""
+    if not 0 <= int(seed) < 2**64:
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
+    return int(seed)
+
+
 def derived_rng(seed: int, *path: int | str) -> np.random.Generator:
     """Independent counter-based stream for (seed, path).
 
     Streams for distinct paths never overlap, so per-trial and per-restart
     work can run in any order and still reproduce the exact same draws.
     String path parts are hashed, so subsystems can tag their streams by
-    name.  The seed is one 64-bit word: a seed outside [0, 2**64) is refused,
-    not wrapped onto one inside it.  The entropy is the words SeedSequence
-    would make of the tuple (seed, *path words), built here as one uint32
-    array.
+    name.  The seed is one 64-bit word (see checked_seed).  The entropy is
+    the words SeedSequence would make of the tuple (seed, *path words), built
+    here as one uint32 array.
     """
-    if not 0 <= int(seed) < 2**64:
-        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
-    words = _uint32_words(int(seed))
+    words = _uint32_words(checked_seed(seed))
     for part in path:
         words += _uint32_words(_path_word(part))
     return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,30 @@ def test_a_seed_outside_64_bits_exits_with_status_two(tmp_path, capsys, seed):
     assert main(["canonicalize", "--trials", "1", "--seed", str(2**64 - 1), "--csv", str(csv)]) == 0
 
 
+# each seeded command with arguments of a quick run; eb-check --count 0 and
+# nexp-decide draw nothing from the seed, and are refused all the same
+_QUICK_SEEDED_RUNS = {
+    "chsh-gap": ["--restarts", "1"],
+    "canonicalize": ["--trials", "1"],
+    "eb-check": ["--count", "0"],
+    "nexp-decide": [],
+    "subsample": ["--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(_QUICK_SEEDED_RUNS))
+def test_every_command_refuses_a_seed_outside_64_bits(tmp_path, capsys, command):
+    assert set(_QUICK_SEEDED_RUNS) == {c for c, spec in _COMMANDS.items() if "seed" in spec.params}
+    csv = tmp_path / "x.csv"
+    for seed in (-5, -1, 2**64):
+        args = [command, *_QUICK_SEEDED_RUNS[command], "--seed", str(seed), "--csv", str(csv)]
+        status = main(args)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert not csv.exists()
+
+
 def test_seeds_in_range_keep_their_entropy():
     for seed in (0, 7, 2**32 + 5, 2**64 - 1):
         want = np.random.default_rng(np.random.SeedSequence((seed, 3))).integers(2**62, size=4)
@@ -387,6 +412,67 @@ def test_malformed_documents_exit_with_status_two(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert status == 2, err
     assert err.startswith("error: "), err
+
+
+# values a mutated document carries: past every entry's modulus, non-finite,
+# or an integer past the largest double
+_FUZZ_VALUES = (1e308, -1e308, 1e200, math.nan, math.inf, -math.inf, 10**400)
+
+
+def _document_nodes(doc, path=()):
+    """The path of every node below the document's root, depth first."""
+    if isinstance(doc, dict):
+        children = doc.items()
+    else:
+        children = enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _document_nodes(child, path + (key,))
+
+
+def _mutated(doc, rng):
+    """A copy of ``doc`` with one node, drawn by ``rng``, set to a bad value."""
+    doc = json.loads(json.dumps(doc))
+    nodes = list(_document_nodes(doc))
+    *parents, last = nodes[rng.integers(len(nodes))]
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = _FUZZ_VALUES[rng.integers(len(_FUZZ_VALUES))]
+    return doc
+
+
+def test_mutated_documents_are_refused_without_numpy_warnings(tmp_path, capsys):
+    rng = derived_rng(21, "document-fuzz")
+    spec = random_verifier_spec(rng)
+    docs = {
+        "spec": protocol_document(spec),
+        "prover": strategy_document(random_raw_prover(rng, spec)),
+        "eb": channel_document(random_eb_channel(rng, spec.m_layout)),
+        "kraus": channel_document(random_kraus_channel(rng, spec.m_layout, spec.m_layout)),
+    }
+    paths = {name: tmp_path / f"{name}.json" for name in docs}
+    csv = str(tmp_path / "x.csv")
+    runs = [
+        ("spec", "canonicalize"),
+        ("prover", "canonicalize"),
+        ("eb", "eb-check"),
+        ("kraus", "eb-check"),
+    ]
+    for trial in range(600):
+        name, command = runs[trial % len(runs)]
+        for other, doc in docs.items():
+            paths[other].write_text(json.dumps(_mutated(doc, rng) if other == name else doc))
+        if command == "canonicalize":
+            args = ["--spec", str(paths["spec"]), "--prover", str(paths["prover"])]
+        else:
+            args = ["--channel", str(paths[name])]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = main([command, *args, "--csv", csv])
+        err = capsys.readouterr().err
+        assert status in (0, 2), (trial, err)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (trial, err)
 
 
 REFERENCE_CSV_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "cli"

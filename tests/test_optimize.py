@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,6 +403,85 @@ def test_certificate_refuses_two_interleaved_triangulations():
         _certify(points, triangles)
 
 
+def _whole_net_certificate(x, y, z, triangles):
+    """The covering certificate as it ran over the whole net at once, each
+    check on net-sized arrays, returning the triangles' normals: a test-only
+    reference for the blocked certificate."""
+    n = len(x)
+    if len(triangles) != 2 * n - 4 or np.bincount(triangles.ravel(), minlength=n).min() == 0:
+        raise NumericsError("do not triangulate")
+    a, b, c = triangles.T
+    xa, ya, za, xb, yb, zb, xc, yc, zc = x[a], y[a], z[a], x[b], y[b], z[b], x[c], y[c], z[c]
+    ux, uy, uz = xb - xa, yb - ya, zb - za
+    vx, vy, vz = xc - xa, yc - ya, zc - za
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    det = nx * xa + ny * ya + nz * za
+    if not np.all(det > 0):
+        raise NumericsError("face away from the centre")
+    head = np.concatenate([a, b, c])
+    tail = np.concatenate([b, c, a])
+    third = np.concatenate([c, a, b])
+    edge_key = np.minimum(head, tail).astype(np.int64) * n + np.maximum(head, tail)
+    order = np.argsort(edge_key)
+    key = edge_key[order]
+    first, second = order[0::2], order[1::2]
+    if not (
+        np.array_equal(key[0::2], key[1::2])
+        and np.all(key[2::2] > key[1:-1:2])
+        and np.all((head[first] < tail[first]) != (head[second] < tail[second]))
+    ):
+        raise NumericsError("pair every directed edge")
+    dots = xa * xb + ya * yb + za * zb + xb * xc + yb * yc + zb * zc + xc * xa + yc * ya + zc * za
+    coverings = 2 * np.arctan2(det, 1.0 + dots).sum() / (4 * np.pi)
+    if abs(coverings - 1.0) > optimize.COVERING_COUNT_TOL:
+        raise NumericsError("cover the sphere")
+    q = [head[first], tail[first], third[first], third[second]]
+    odd = np.zeros(len(first), dtype=bool)
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        odd ^= q[i] > q[j]
+        q[i], q[j] = np.minimum(q[i], q[j]), np.maximum(q[i], q[j])
+    height = optimize._quad_orientation(x, y, z, *q)
+    if np.any(np.where(odd, -height, height) > 0):
+        raise NumericsError("circumcircle")
+    return nx, ny, nz
+
+
+def _whole_net_covering_error(points):
+    """net_covering_error over the whole-net certificate: a test-only reference."""
+    x, y, z = (np.ascontiguousarray(col, dtype=float) for col in np.asarray(points).T)
+    triangles = optimize._fibonacci_triangles(len(x))
+    nx, ny, nz = _whole_net_certificate(x, y, z, triangles)
+    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
+    nx, ny, nz = nx / norm, ny / norm, nz / norm
+    facet_cos = np.max([nx * x[t] + ny * y[t] + nz * z[t] for t in triangles.T], axis=0)
+    alpha = float(np.arccos(np.clip(facet_cos.min(), -1.0, 1.0)))
+    return math.sin(alpha / 2)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [range(4, 501), (1999, 2000, 4999, 5000, 20000, 100000)],
+    ids=["every-n-to-500", "large"],
+)
+def test_blocked_covering_bound_matches_the_whole_net_one_exactly(sizes):
+    for n in sizes:
+        points, _ = fibonacci_sphere_states(n)
+        assert net_covering_error(points) == _whole_net_covering_error(points), n
+
+
+def test_covering_bound_holds_a_small_working_set():
+    points, _ = fibonacci_sphere_states(5000)
+    net_covering_error(points)
+    tracemalloc.start()
+    try:
+        net_covering_error(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 5.1 MiB when every check and the triangle builder ran on net-sized arrays
+    assert peak <= 2.5 * 2**20
+
+
 def _einsum_quadratic_forms(stacked, states):
     """The scan's quadratic forms as the net search computed them before the
     Bloch form: a test-only reference."""
@@ -506,6 +586,7 @@ def test_net_resolution_budget_is_checked_before_the_net_is_built(monkeypatch):
         raise AssertionError(f"a net of {n} points was built")
 
     monkeypatch.setattr(optimize, "fibonacci_sphere_states", no_net)
+    monkeypatch.setattr(optimize, "_fibonacci_net", no_net)
     spec, _ = chsh_protocol()
     with pytest.raises(BudgetError):
         brute_force_unentangled_value(
