@@ -32,7 +32,7 @@ from .qmath import (
     frozen,
     hermitian_eig,
     max_abs,
-    partial_trace_array,
+    measure_array,
     partial_transpose,
 )
 
@@ -179,7 +179,7 @@ class ChoiMatrix:
             raise LayoutError(
                 f"recorded input dimension {self.in_dim} does not match layout {layout.dims}"
             )
-        reduced = partial_trace_array(self.operator.entries, layout.dims, (0,))
+        reduced = measure_array(self.operator.entries, layout.dims, [np.eye(self.out_dim)], (1,))[0]
         defect = max_abs(reduced - np.eye(self.in_dim) / self.in_dim)
         if defect > COMPLETENESS_TOL:
             raise ValidationError(

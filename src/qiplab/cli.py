@@ -42,7 +42,7 @@ from .protocol import (
 )
 from .qmath import MeasurementOperator, Povm, PureState, RegisterLayout
 from .random_instances import random_eb_channel, random_raw_prover, random_verifier_spec
-from .utils import checked_seed, derived_rng
+from .utils import checked_int, checked_seed, derived_rng
 
 
 def fmt17(x: float) -> str:
@@ -357,18 +357,17 @@ def _convert(name: str, kind: type, value: Any) -> Any:
             noun = "a string" if kind is str else "true or false"
             raise ValidationError(f"{name} must be {noun}, got {value!r}")
         return value
-    accepted = (int, float) if kind is float else int
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        noun = "a number" if kind is float else "an integer"
-        raise ValidationError(f"{name} must be {noun}, got {value!r}")
-    if kind is float:
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ValidationError(f"{name} is too large for a float") from None
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
-    return kind(value)
+    if kind is int:
+        return checked_int(value, name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

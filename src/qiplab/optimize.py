@@ -45,7 +45,7 @@ from .protocol import (
     joint_response_operators,
 )
 from .qmath import PureState, dagger, hermitian_eig
-from .utils import derived_rng
+from .utils import checked_int, checked_seed, derived_rng
 
 ENUMERATION_BUDGET = 10**6
 NET_RESOLUTION_BUDGET = 10**5
@@ -95,6 +95,9 @@ class OptimizerConfig:
     net_resolution: int = 2000
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "net_resolution"):
+            object.__setattr__(self, name, checked_int(getattr(self, name), name))
+        object.__setattr__(self, "seed", checked_seed(self.seed))
         if self.restarts < 1:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
@@ -372,7 +375,7 @@ def seesaw_entangled_value(
         )
     w = _weight_vector(fam, weights)
     n_y, n_z, d_m, _ = fam.effects.shape
-    dim_keep = d_m if keep_dim is None else int(keep_dim)
+    dim_keep = d_m if keep_dim is None else checked_int(keep_dim, "keep_dim")
     if dim_keep < 1:
         raise ValidationError(f"keep_dim must be >= 1, got {keep_dim}")
     if dim_keep * d_m > SEESAW_DIMENSION_BUDGET:
@@ -769,6 +772,8 @@ def subsampling_experiment(
     The uniform weights and every trial's empirical weights are rows of
     one stack, solved together.
     """
+    r = checked_int(r, "r")
+    trials = checked_int(trials, "trials")
     if r < 1:
         raise ValidationError(f"r must be >= 1, got {r}")
     if trials < 1:
@@ -808,14 +813,22 @@ def subsampling_experiment(
     )
 
 
-def majority_amplify(p: float, k: int) -> float:
-    """Probability that a Binomial(k, p) draw exceeds k/2, summed exactly."""
+def _checked_repetition(p: float, k: int) -> int:
+    """``k`` read as an int, once p is a probability and k a positive odd
+    count within AMPLIFY_K_BUDGET: the inputs of a k-fold majority vote."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must be in [0, 1], got {p!r}")
+    k = checked_int(k, "k")
     if k < 1 or k % 2 == 0:
         raise ValidationError(f"k must be a positive odd count, got {k}")
     if k > AMPLIFY_K_BUDGET:
         raise BudgetError(f"k = {k} exceeds the amplification budget {AMPLIFY_K_BUDGET}")
+    return k
+
+
+def majority_amplify(p: float, k: int) -> float:
+    """Probability that a Binomial(k, p) draw exceeds k/2, summed exactly."""
+    k = _checked_repetition(p, k)
     terms = [
         math.comb(k, j) * p**j * (1.0 - p) ** (k - j) for j in range(k // 2 + 1, k + 1)
     ]
@@ -823,5 +836,11 @@ def majority_amplify(p: float, k: int) -> float:
 
 
 def hoeffding_floor(p: float, k: int) -> float:
-    """1 - exp(-2k(p - 1/2)^2), a lower bound on majority success for p > 1/2."""
+    """A lower bound on majority_amplify(p, k), with the same checks.
+
+    Hoeffding's inequality gives 1 - exp(-2k(p - 1/2)^2) for p > 1/2; for
+    p <= 1/2 it says nothing, and the bound is the trivial 0."""
+    k = _checked_repetition(p, k)
+    if p <= 0.5:
+        return 0.0
     return 1.0 - math.exp(-2.0 * k * (p - 0.5) ** 2)

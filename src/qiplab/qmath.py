@@ -5,11 +5,12 @@ register is the most significant index (row-major basis ordering).  All
 state and operator types validate their defining invariants at construction
 and hold read-only arrays.
 
-The array helpers work on plain D x D arrays and address registers by
-axis: reorder_array moves registers, apply_kraus_array applies Kraus
-operators on target registers only, adjoint_kraus_array pulls an effect
-back through them, and measure_array / prepare_array contract stacked
-effects and prepared states, the two halves of a measure-and-prepare step.
+The array helpers take one plain D x D matrix per call and address
+registers by axis: reorder_array moves registers, apply_kraus_array applies
+Kraus operators on target registers only, adjoint_kraus_array pulls an
+effect back through them, and measure_array / prepare_array contract
+stacked effects and prepared states, the two halves of a measure-and-prepare
+step; measuring the identity is the partial trace.
 
 Intended for exact toy-scale work: the protocol simulator refuses total
 dimensions above qiplab.protocol.SIMULATOR_DIMENSION_BUDGET (1024).
@@ -25,6 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import LayoutError, NumericsError, ValidationError
+from .utils import checked_int
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -89,7 +91,7 @@ class RegisterLayout:
 
     def __post_init__(self):
         names = tuple(self.names)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(checked_int(d, "register dimension", LayoutError) for d in self.dims)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "dims", dims)
         if not names:
@@ -171,7 +173,10 @@ class PureState:
 
     @classmethod
     def basis(cls, layout: RegisterLayout, which: int | str) -> "PureState":
-        idx = layout.basis_index(which) if isinstance(which, str) else int(which)
+        if isinstance(which, str):
+            idx = layout.basis_index(which)
+        else:
+            idx = checked_int(which, "basis index", LayoutError)
         if not 0 <= idx < layout.total_dim:
             raise LayoutError(f"basis index {idx} out of range for dim {layout.total_dim}")
         v = np.zeros(layout.total_dim, dtype=np.complex128)
@@ -295,9 +300,10 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     if not keep:
         raise LayoutError("must keep at least one register")
     layout = rho.layout
-    keep_axes = layout.axes(keep)
-    reduced = partial_trace_array(rho.entries, layout.dims, keep_axes)
-    return DensityMatrix(layout.subset(keep), reduced)
+    kept = layout.subset(keep)
+    traced = [a for a, n in enumerate(layout.names) if n not in kept.names]
+    identity = np.eye(layout.total_dim // kept.total_dim)
+    return DensityMatrix(kept, measure_array(rho.entries, layout.dims, [identity], traced)[0])
 
 
 def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
@@ -357,23 +363,11 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def partial_trace_array(mat: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]) -> np.ndarray:
-    dims = tuple(dims)
-    n = len(dims)
-    keep = sorted(keep_axes)
-    tens = mat.reshape(dims + dims)
-    for axis in sorted(set(range(n)) - set(keep), reverse=True):
-        tens = np.trace(tens, axis1=axis, axis2=axis + tens.ndim // 2)
-    d = math.prod(dims[a] for a in keep)
-    return tens.reshape(d, d)
-
-
 def reorder_array(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
     """Rows and columns of `mat` re-expressed with its registers in `order`.
 
     `dims` are the register dimensions as `mat` has them, and register
-    order[p] moves to position p.  `mat` may be a stack of shape (..., D, D),
-    each matrix reordered alike.  The entries are only moved, never
+    order[p] moves to position p.  The entries are only moved, never
     combined, so the result is exact.
     """
     dims = tuple(dims)
@@ -384,10 +378,8 @@ def reorder_array(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) ->
     if order == list(range(n)):
         return mat
     d = math.prod(dims)
-    lead = mat.shape[:-2]
-    k = len(lead)
-    perm = list(range(k)) + [k + a for a in order] + [k + n + a for a in order]
-    return mat.reshape(lead + dims + dims).transpose(perm).reshape(lead + (d, d))
+    perm = order + [n + a for a in order]
+    return mat.reshape(dims + dims).transpose(perm).reshape(d, d)
 
 
 def _restore(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
@@ -408,17 +400,16 @@ def embed_operator(op: np.ndarray, dims: Sequence[int], target_axes: Sequence[in
     """Extend `op`, acting on the listed axes in the listed order, by identity.
 
     The target axes need not be contiguous or sorted; the operator's tensor
-    factors are matched to `target_axes` positionally.  A stack of operators
-    of shape (..., d_t, d_t) is extended one by one.
+    factors are matched to `target_axes` positionally.  `op` is one
+    d_t x d_t matrix; a stack of them is refused.
     """
     order, d_target, d_rest = _target_first(dims, target_axes)
     op = np.asarray(op, dtype=np.complex128)
-    if op.shape[-2:] != (d_target, d_target):
+    if op.shape != (d_target, d_target):
         raise LayoutError(f"operator shape {op.shape} does not match target dims {d_target}")
-    lead = op.shape[:-2]
     d = d_target * d_rest
     eye = np.eye(d_rest, dtype=np.complex128)[:, None, :]
-    kron = (op[..., :, None, :, None] * eye).reshape(lead + (d, d))
+    kron = (op[:, None, :, None] * eye).reshape(d, d)
     return _restore(kron, dims, order)
 
 
@@ -455,11 +446,10 @@ def adjoint_kraus_array(effect: np.ndarray, kraus: Sequence[np.ndarray]) -> np.n
     """Sum_k K_k^dag E K_k: the Heisenberg-picture image of E on the input space.
 
     The operators may be rectangular (output x input), and E lives on their
-    output space.  tr(E . sum_k K_k rho K_k^dag) = tr(image . rho).  E may
-    be a stack of effects of shape (..., d_out, d_out): each is pulled back
-    by the same products as alone, broadcast over the stack.
+    output space, as one d_out x d_out matrix.  tr(E . sum_k K_k rho K_k^dag)
+    = tr(image . rho).
     """
-    out = np.zeros(np.shape(effect)[:-2] + (kraus[0].shape[1],) * 2, dtype=np.complex128)
+    out = np.zeros((kraus[0].shape[1],) * 2, dtype=np.complex128)
     for k in kraus:
         out += dagger(k) @ effect @ k
     return out

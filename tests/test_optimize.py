@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, SphericalVoronoi
 
@@ -741,6 +741,44 @@ def test_majority_amplify_matches_the_binomial_tail():
         majority_amplify(0.7, 40)
     with pytest.raises(ValidationError):
         majority_amplify(1.5, 5)
+
+
+@given(
+    st.floats(0.0, 1.0),
+    st.integers(0, (optimize.AMPLIFY_K_BUDGET - 1) // 2).map(lambda i: 2 * i + 1),
+)
+@example(2 / 3, 41)
+@example(0.3, 41)
+@example(0.5, 1)
+@example(0.5 + 1e-9, optimize.AMPLIFY_K_BUDGET)
+@example(1.0, optimize.AMPLIFY_K_BUDGET)
+def test_hoeffding_floor_is_a_lower_bound_on_majority_success(p, k):
+    floor = hoeffding_floor(p, k)
+    assert 0.0 <= floor <= majority_amplify(p, k) + 1e-12
+    if p <= 0.5:
+        assert floor == 0.0
+
+
+@pytest.mark.parametrize(
+    "p, k, error",
+    [
+        (1.2, 5, ValidationError),
+        (-0.1, 5, ValidationError),
+        (math.nan, 5, ValidationError),
+        (0.7, 40, ValidationError),
+        (0.7, 0, ValidationError),
+        (0.7, -3, ValidationError),
+        (0.7, 5.0, ValidationError),
+        (0.7, True, ValidationError),
+        (0.7, optimize.AMPLIFY_K_BUDGET + 2, BudgetError),
+    ],
+)
+def test_hoeffding_floor_refuses_what_majority_amplify_refuses(p, k, error):
+    with pytest.raises(error) as amplify_error:
+        majority_amplify(p, k)
+    with pytest.raises(error) as floor_error:
+        hoeffding_floor(p, k)
+    assert str(floor_error.value) == str(amplify_error.value)
 
 
 def test_majority_amplify_budget_is_the_last_k_whose_coefficients_fit_a_double():

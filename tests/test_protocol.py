@@ -253,8 +253,8 @@ def test_raw_value_is_the_branch_average_of_the_candidates(w_dim, s_dim, v_dim, 
 
 def stacked_fold(spec, raw):
     """Test-only copy of canonicalize_prover when it pulled every second
-    emission effect back through mix2 at once, as one stack, and folded the
-    stack on each branch in turn."""
+    emission effect back through mix2 first, holding all of them, and folded
+    them on each branch in turn."""
     pm, opening, response = protocol._prover_moves(spec, raw, fold=True)
     dims = pm.dims
     sm_axes = opening.emit_axes
@@ -263,7 +263,10 @@ def stacked_fold(spec, raw):
     zero_s = protocol._zero_state(math.prod(dims[a] for a in s_axes))
     rho1 = apply_kraus_array(protocol._zero_state(pm.total_dim), dims, opening.kraus, opening.kraus_axes)
     blocks = measure_array(rho1, dims, opening.effects, sm_axes)
-    pulled = adjoint_kraus_array(embed_operator(response.effects, dims, sm_axes), response.kraus)
+    pulled = [
+        adjoint_kraus_array(embed_operator(effect, dims, sm_axes), response.kraus)
+        for effect in response.effects
+    ]
     best = None
     for block, prep in zip(blocks, raw.emit1.preps):
         q = float(np.trace(block).real)
@@ -730,6 +733,75 @@ def test_contraction_matches_the_forward_run(case):
     workspace = RegisterLayout(("S", "W") if s_first else ("W", "S"), (2, 2))
     for prover in drawn_provers(rng, spec, p_dim, workspace):
         assert abs(run_interaction(spec, prover) - forward_run_interaction(spec, prover)) < 1e-13
+
+
+def stacked_embed(ops, dims, target_axes):
+    """Test-only copy of embed_operator when it took a stack (n, d_t, d_t):
+    one broadcast product with the identity, then one transpose of the
+    whole stack back to layout order."""
+    target = list(target_axes)
+    order = target + [a for a in range(len(dims)) if a not in target]
+    d_t = math.prod(dims[a] for a in target)
+    d = math.prod(dims)
+    n, n_axes = len(ops), len(dims)
+    eye = np.eye(d // d_t, dtype=np.complex128)[:, None, :]
+    kron = (ops[..., :, None, :, None] * eye).reshape(n, d, d)
+    inverse = sorted(range(n_axes), key=order.__getitem__)
+    perm = [0] + [1 + a for a in inverse] + [1 + n_axes + a for a in inverse]
+    moved = kron.reshape((n,) + tuple(dims[a] for a in order) * 2).transpose(perm)
+    return np.ascontiguousarray(moved.reshape(n, d, d))
+
+
+def stacked_run_interaction(spec, prover):
+    """Test-only copy of run_interaction when it pulled its closing terms
+    back as one stack: every term embedded at once, then each Kraus operator
+    broadcast over the stack as K^dag @ stack @ K."""
+    full, opening, response = protocol._prover_moves(spec, prover)
+    pm = full.subset(n for n in full.names if n not in spec.v_layout.names)
+    m_axes = pm.axes(spec.m_layout.names)
+    rho = protocol._zero_state(pm.total_dim)
+    if opening is not None:
+        rho = protocol._apply_move(rho, pm.dims, opening)
+        if 1 in spec.classical_rounds:
+            rho = dephase_axes(rho, pm.dims, m_axes)
+    xs, bs = protocol._closing_terms(spec)
+    axes = m_axes
+    if len(response.effects):
+        phis = response.preps.reshape(len(response.preps), -1, xs.shape[-1])
+        weights = np.einsum("lsa,jab,lsb->jl", phis.conj(), xs, phis)
+        xs, axes = np.tensordot(weights, response.effects, 1), response.emit_axes
+    pulled = stacked_embed(xs, pm.dims, axes)
+    if len(response.kraus):
+        stack, pulled = pulled, np.zeros(pulled.shape, dtype=np.complex128)
+        for k in response.kraus:
+            pulled += k.conj().T @ stack @ k
+    scores = protocol._challenge_scores(spec, rho, pm, bs)
+    p = np.einsum("jab,jba->", pulled, scores).real
+    return protocol.checked_probability(float(p), "acceptance probability")
+
+
+@given(interaction_cases())
+@example((3, False, frozenset(), (3,), 2, 2, False, 0))
+@example((3, True, frozenset({1, 2}), (2, 2), 2, 4, True, 3))
+@example((2, False, frozenset({1, 2}), (2, 2), 2, 2, False, 5))
+def test_one_term_at_a_time_keeps_every_bit_of_the_stacked_pull_back(case):
+    rounds, public, classical, m_dims, v_dim, p_dim, s_first, seed = case
+    rng = np.random.default_rng(seed)
+    spec = drawn_spec(rng, rounds, public, classical, m_dims, v_dim)
+    workspace = RegisterLayout(("S", "W") if s_first else ("W", "S"), (2, 2))
+    for prover in drawn_provers(rng, spec, p_dim, workspace):
+        assert run_interaction(spec, prover) == stacked_run_interaction(spec, prover)
+
+
+def test_one_term_at_a_time_keeps_every_bit_on_the_sim_large_shape():
+    assert acceptance_probability is run_interaction
+    # (W, S) = (8, 4), M = 2 and V = 4, as the sim-large benchmark draws them
+    for trial in range(3):
+        rng = derived_rng(38, "stacked-pull-back", trial)
+        spec = random_verifier_spec(rng, m_dim=2, v_dim=4)
+        raw = random_raw_prover(rng, spec, workspace=RegisterLayout(("W", "S"), (8, 4)))
+        for prover in (raw, canonicalize_prover(spec, raw)):
+            assert run_interaction(spec, prover) == stacked_run_interaction(spec, prover)
 
 
 def test_a_sim_large_run_passes_no_array_of_the_total_dimension(monkeypatch):

@@ -12,7 +12,6 @@ from qiplab.qmath import (
     Povm,
     PureState,
     RegisterLayout,
-    adjoint_kraus_array,
     apply_kraus_array,
     born_probability,
     dephase_axes,
@@ -20,7 +19,6 @@ from qiplab.qmath import (
     hermitian_eig,
     measure_array,
     partial_trace,
-    partial_trace_array,
     partial_transpose,
     prepare_array,
     reorder_array,
@@ -158,6 +156,38 @@ def test_partial_trace_of_bell_pair_is_maximally_mixed():
         partial_trace(rho, ["C"])
 
 
+def einsum_partial_trace(mat, dims, keep_axes):
+    """Reference: the trace over every axis outside `keep_axes`, as one einsum
+    of the row-and-column tensor; the kept axes stay in layout order."""
+    n = len(dims)
+    rows = [chr(ord("a") + a) for a in range(n)]
+    cols = [chr(ord("n") + a) if a in keep_axes else rows[a] for a in range(n)]
+    keep = sorted(keep_axes)
+    out = "".join(rows[a] for a in keep) + "".join(cols[a] for a in keep)
+    d = math.prod(dims[a] for a in keep)
+    reduced = np.einsum("".join(rows + cols) + "->" + out, mat.reshape(tuple(dims) * 2))
+    return reduced.reshape(d, d)
+
+
+@given(
+    st.lists(st.integers(2, 3), min_size=1, max_size=4).flatmap(
+        lambda dims: st.tuples(st.just(tuple(dims)), st.permutations(range(len(dims))))
+    ),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+@example(((2, 3, 2), (2, 0, 1)), 2, 0)
+def test_partial_trace_matches_an_einsum_on_random_layouts(case, n_keep, seed):
+    dims, order = case
+    keep_axes = order[: min(n_keep, len(dims))]  # in any order
+    layout = RegisterLayout(tuple("ABCD"[: len(dims)]), dims)
+    rho = random_density(np.random.default_rng(seed), layout)
+    reduced = partial_trace(rho, [layout.names[a] for a in keep_axes])
+    assert reduced.layout.names == tuple(layout.names[a] for a in sorted(keep_axes))
+    want = einsum_partial_trace(rho.entries, dims, keep_axes)
+    assert np.max(np.abs(reduced.entries - want)) < 1e-12
+
+
 def test_partial_trace_recovers_product_factors():
     for i in range(100):
         rng = np.random.default_rng(1000 + i)
@@ -260,6 +290,9 @@ def test_embed_operator_arbitrary_axis_order():
     t = joint.reshape(dims).transpose(2, 0, 1).reshape(4, 3)
     t = (op @ t).reshape(2, 2, 3).transpose(1, 2, 0).reshape(-1)
     assert np.max(np.abs(out - t)) < 1e-12
+    # one operator per call: a stack of them is refused
+    with pytest.raises(LayoutError):
+        embed_operator(op[None], dims, (2, 0))
 
 
 def test_dephase_axes_kills_off_diagonals():
@@ -297,7 +330,7 @@ def test_measure_and_prepare_reject_misshaped_inputs():
     dims = (2, 3, 2)
     # identity effects on (C, A) leave the partial trace on B
     blocks = measure_array(rho, dims, [np.eye(4)], (2, 0))
-    assert np.allclose(blocks[0], partial_trace_array(rho, dims, (1,)))
+    assert np.allclose(blocks[0], einsum_partial_trace(rho, dims, (1,)))
     with pytest.raises(LayoutError):
         measure_array(rho, dims, [np.eye(3)], (2, 0))
     with pytest.raises(LayoutError):
@@ -362,41 +395,3 @@ def test_apply_kraus_array_rejects_a_misshaped_operator():
     for bad in (np.eye(4), np.eye(12), np.ones((6, 3))):
         with pytest.raises(LayoutError):
             apply_kraus_array(rho, (2, 3, 2), [good, bad], (1, 2))
-
-
-def random_complex(rng, shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-# stack size, output and input dimensions, Kraus operator count, seed
-@given(st.integers(1, 4), st.integers(2, 5), st.integers(2, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
-@example(1, 2, 2, 1, 0)
-def test_stacked_adjoint_kraus_array_matches_its_per_effect_loop(n_effects, d_out, d_in, n_kraus, seed):
-    rng = np.random.default_rng(seed)
-    effects = random_complex(rng, (n_effects, d_out, d_out))
-    kraus = random_complex(rng, (n_kraus, d_out, d_in))
-    stacked = adjoint_kraus_array(effects, kraus)
-    assert stacked.shape == (n_effects, d_in, d_in)
-    for effect, image in zip(effects, stacked):
-        assert np.array_equal(image, adjoint_kraus_array(effect, kraus))
-
-
-@given(
-    st.lists(st.integers(2, 3), min_size=1, max_size=4).flatmap(
-        lambda dims: st.tuples(st.just(tuple(dims)), st.permutations(range(len(dims))))
-    ),
-    st.integers(1, 3),
-    st.integers(0, 2**32 - 1),
-)
-def test_stacked_embed_and_reorder_match_their_per_matrix_calls(case, n_ops, seed):
-    dims, order = case
-    target = tuple(order[: max(1, len(dims) // 2)])
-    rng = np.random.default_rng(seed)
-    d_t = math.prod(dims[a] for a in target)
-    ops = random_complex(rng, (n_ops, d_t, d_t))
-    embedded = embed_operator(ops, dims, target)
-    mats = random_complex(rng, (n_ops,) + (math.prod(dims),) * 2)
-    moved = reorder_array(mats, dims, order)
-    for op, image, mat, image2 in zip(ops, embedded, mats, moved):
-        assert np.array_equal(image, embed_operator(op, dims, target))
-        assert np.array_equal(image2, reorder_array(mat, dims, order))
