@@ -23,11 +23,13 @@ v2^dag(accept) on (M, V), the Heisenberg picture.
 
 The prover's workspace P never meets the verifier's register V: they meet
 only through M.  So run_interaction is an exact contraction, not a forward
-run over (P, M, V).  The opening runs forward on (P, M); the closing
-effect, split over M|V into min(d_M, d_V)^2 product terms, is pulled back
-through the response onto (P, M) term by term; the challenge runs on
-(X, M, V), where X is P when d_P <= d_M and a copy of M otherwise.  No
-array is larger than (P, M) or (X, M, V).
+run over (P, M, V).  The opening runs forward on (P, M) from |0>, its Kraus
+operators read by their first columns; the closing effect is split over M|V
+into min(d_M, d_V)^2 product terms; a response that emits folds them into
+its L emission effects, and those (the terms themselves, with no emission)
+are pulled back through the response onto (P, M) one at a time; the
+challenge runs on (X, M, V), where X is P when d_P <= d_M and a copy of M
+otherwise.  No array is larger than (P, M) or (X, M, V).
 
 Family extraction and the two-round postselection read the verifier the
 same way, through the same closing terms and challenge scores, as the
@@ -62,6 +64,7 @@ from .qmath import (
     Povm,
     PureState,
     RegisterLayout,
+    _target_first,
     adjoint_kraus_array,
     apply_kraus_array,
     basis_projectors,
@@ -81,8 +84,8 @@ VALUE_RANGE_TOL = 1e-9
 # Largest total dimension D the simulator accepts.  Its states and scratch
 # arrays are dense complex matrices of side up to D, so memory grows as D^2
 # and time up to D^3: a raw run plus its canonicalization at D = 1024
-# takes at most about 0.5 s and 140 MB peak (47 MB of it the interpreter and
-# numpy) on a 2-core host, over six raw shapes with d_M from 2 to 8.
+# takes at most about 0.2 s and 140 MB peak (47 MB of it the interpreter and
+# numpy), measured on a 2-core host over six raw shapes with d_M from 2 to 8.
 SIMULATOR_DIMENSION_BUDGET = 1024
 
 
@@ -322,6 +325,11 @@ class _Move(NamedTuple):
 def _apply_move(rho: np.ndarray, dims, move: _Move) -> np.ndarray:
     if len(move.kraus):
         rho = apply_kraus_array(rho, dims, move.kraus, move.kraus_axes)
+    return _emitted(rho, dims, move)
+
+
+def _emitted(rho: np.ndarray, dims, move: _Move) -> np.ndarray:
+    """rho through the emission of `move` alone."""
     if len(move.effects):
         blocks = measure_array(rho, dims, move.effects, move.emit_axes)
         rho = prepare_array(blocks, dims, move.preps, move.emit_axes)
@@ -443,11 +451,29 @@ def _closing_terms(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _pulled_back(kraus: np.ndarray, effect: np.ndarray, dims, axes) -> np.ndarray:
     """sum_k K_k^dag (E (x) I) K_k for the effect E on `axes` of `dims`, or
-    E (x) I with no Kraus operators."""
-    effect = embed_operator(effect, dims, axes)
-    if len(kraus):
-        effect = adjoint_kraus_array(effect, kraus)
-    return effect
+    E (x) I with no Kraus operators.
+
+    E (x) I is never built: the rows of each K_k, gathered in (target, rest)
+    order, take E as d_t rows (d_t^2 d_r d work), and the gathered rows'
+    adjoint meets the result in one d x d product per operator."""
+    if not len(kraus):
+        return embed_operator(effect, dims, axes)
+    order, d_t, _ = _target_first(dims, axes)
+    n, d = len(dims), math.prod(dims)
+    out = np.zeros((d, d), dtype=np.complex128)
+    for k in kraus:
+        rows = k.reshape(tuple(dims) + (d,)).transpose(order + [n]).reshape(d_t, -1)
+        out += rows.reshape(d, d).conj().T @ (effect @ rows).reshape(d, d)
+    return out
+
+
+def _from_zero(kraus: np.ndarray, dim: int) -> np.ndarray:
+    """sum_k K_k |0><0| K_k^dag = sum_k |K_k e_0><K_k e_0| on (P, M), from the
+    first columns of the K_k (|0><0| itself with no Kraus operators): n_K d^2
+    work.  Every opening move's Kraus operators act on all of (P, M), in
+    layout order, so K_k e_0 is the opening applied to |0>."""
+    cols = kraus[:, :, 0] if len(kraus) else np.eye(1, dim, dtype=np.complex128)
+    return cols.T @ cols.conj()
 
 
 def _challenge_scores(spec: ProtocolSpec, rho: np.ndarray, pm: RegisterLayout, bs) -> np.ndarray:
@@ -512,30 +538,40 @@ def classical_response_channel(layout: RegisterLayout, responses: Mapping[str, s
 def run_interaction(spec: ProtocolSpec, prover: ProverStrategy) -> float:
     """Simulate the interaction and return the acceptance probability.
 
-    An exact contraction: the opening runs forward on (P, M) to rho; the
-    closing effect, split as sum_j X_j (x) B_j, has each X_j pulled back
-    through the response to A_j on (P, M); the challenge, run on (X, M, V),
-    gives Q_j on (P, M); the acceptance is sum_j tr(A_j Q_j).  Everything is
-    checked, the budget on (P, M, V) included, before any array is built.
+    An exact contraction: the opening runs forward on (P, M) from |0> to
+    rho; the closing effect is split as sum_j X_j (x) B_j; the challenge,
+    run on (X, M, V), gives Q_j on (P, M).  The acceptance is
+    sum_j tr(A_j Q_j), A_j the pull-back of X_j through the response.  A
+    response that emits folds X_j into its effects as sum_l w_jl F_l, with
+    w_jl = <phi_l|X_j|phi_l>, so the acceptance is sum_l tr(A~_l R_l), A~_l
+    the pull-back of F_l through its Kraus operators and R_l = sum_j w_jl Q_j:
+    L pull-backs, the ones canonicalize_prover makes, not J.  A response
+    with no emission (the entangled form) pulls back the X_j.  One
+    pulled-back effect is held at a time.  Everything is checked, the budget
+    on (P, M, V) included, before any array is built.
     """
     full, opening, response = _prover_moves(spec, prover)
     pm = full.subset(n for n in full.names if n not in spec.v_layout.names)
     m_axes = pm.axes(spec.m_layout.names)
-    rho = _zero_state(pm.total_dim)
-    if opening is not None:
-        rho = _apply_move(rho, pm.dims, opening)
+    if opening is None:
+        rho = _zero_state(pm.total_dim)
+    else:
+        rho = _emitted(_from_zero(opening.kraus, pm.total_dim), pm.dims, opening)
         if 1 in spec.classical_rounds:
             rho = dephase_axes(rho, pm.dims, m_axes)
     xs, bs = _closing_terms(spec)
-    axes = m_axes
-    if len(response.effects):  # X_j -> sum_l <phi_l|X_j|phi_l> F_l on (S, M)
+    scores = _challenge_scores(spec, rho, pm, bs)
+    effects, axes = xs, m_axes
+    if len(response.effects):  # X_j -> sum_l w_jl F_l on (S, M), Q_j -> R_l = sum_j w_jl Q_j
         phis = response.preps.reshape(len(response.preps), -1, xs.shape[-1])
         weights = np.einsum("lsa,jab,lsb->jl", phis.conj(), xs, phis)
-        xs, axes = np.tensordot(weights, response.effects, 1), response.emit_axes
-    pulled = np.array([_pulled_back(response.kraus, x, pm.dims, axes) for x in xs])
-    scores = _challenge_scores(spec, rho, pm, bs)
-    p = np.einsum("jab,jba->", pulled, scores).real
-    return checked_probability(float(p), "acceptance probability")
+        effects, axes = response.effects, response.emit_axes
+        scores = np.tensordot(weights.T, scores, 1)
+    p = sum(
+        np.einsum("ab,ba->", _pulled_back(response.kraus, effect, pm.dims, axes), score)
+        for effect, score in zip(effects, scores)
+    )
+    return checked_probability(float(p.real), "acceptance probability")
 
 
 acceptance_probability = run_interaction
@@ -581,13 +617,15 @@ def postselected_acceptance(spec: ProtocolSpec, y: str, z: str) -> float:
 def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStrategy:
     """Fold a raw unentangled prover into canonical form, never losing value.
 
-    Enumerates the branches of the first emission POVM, each with the lens
-    sigma_R (x) |0><0|_S of its residual workspace state.  Each second
-    emission effect F_l in turn is pulled back through mix2, to
-    A_l = mix2^dag(I_R (x) F_l) on (P, M), and folded on every branch to
-    G_l = tr_{R,S}[(lens (x) I_M) A_l], so one A_l is held at a time.  A
-    branch's G_l, with the emitted states, are its response.  The branch with
-    the best conditional acceptance wins (ties break toward the lowest index).
+    Runs mix1 on |0> by the first columns of its operators, as
+    run_interaction does, and enumerates the branches of the first emission
+    POVM, each with the lens sigma_R (x) |0><0|_S of its residual workspace
+    state.  Each second emission effect F_l in turn is pulled back through
+    mix2, with run_interaction's pull-back, to A_l = mix2^dag(I_R (x) F_l)
+    on (P, M), and folded on every branch to G_l = tr_{R,S}[(lens (x) I_M) A_l],
+    so one A_l is held at a time.  A branch's G_l, with the emitted states,
+    are its response.  The branch with the best conditional acceptance wins
+    (ties break toward the lowest index).
     """
     pm, opening, response = _prover_moves(spec, raw, fold=True)
     dims = pm.dims
@@ -596,7 +634,7 @@ def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStr
     r_axes = tuple(a for a in opening.kraus_axes if a not in sm_axes)
     zero_s = _zero_state(math.prod(dims[a] for a in s_axes))
 
-    rho1 = apply_kraus_array(_zero_state(pm.total_dim), dims, opening.kraus, opening.kraus_axes)
+    rho1 = _from_zero(opening.kraus, pm.total_dim)
     # the residual workspace state of each branch, unnormalized, on R
     blocks = measure_array(rho1, dims, opening.effects, sm_axes)
     branches = []  # the prepared message, lens and folded effects of each branch kept

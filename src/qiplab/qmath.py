@@ -7,10 +7,13 @@ and hold read-only arrays.
 
 The array helpers take one plain D x D matrix per call and address
 registers by axis: reorder_array moves registers, apply_kraus_array applies
-Kraus operators on target registers only, adjoint_kraus_array pulls an
-effect back through them, and measure_array / prepare_array contract
-stacked effects and prepared states, the two halves of a measure-and-prepare
-step; measuring the identity is the partial trace.
+Kraus operators on target registers only, and measure_array / prepare_array
+contract stacked effects and prepared states, the two halves of a
+measure-and-prepare step; measuring the identity is the partial trace.
+adjoint_kraus_array pulls an effect on the whole output space back through
+Kraus operators; it serves only protocol._closing_terms and
+channels.adjoint_apply (the simulator pulls a prover's effects back in
+protocol._pulled_back, without embedding them).
 
 Intended for exact toy-scale work: the protocol simulator refuses total
 dimensions above qiplab.protocol.SIMULATOR_DIMENSION_BUDGET (1024).
