@@ -29,7 +29,8 @@ into min(d_M, d_V)^2 product terms; a response that emits folds them into
 its L emission effects, and those (the terms themselves, with no emission)
 are pulled back through the response onto (P, M) one at a time; the
 challenge runs on (X, M, V), where X is P when d_P <= d_M and a copy of M
-otherwise.  No array is larger than (P, M) or (X, M, V).
+otherwise, and its scores take the same weights before they reach (P, M).
+No array is larger than (P, M) or (X, M, V).
 
 Family extraction and the two-round postselection read the verifier the
 same way, through the same closing terms and challenge scores, as the
@@ -476,15 +477,21 @@ def _from_zero(kraus: np.ndarray, dim: int) -> np.ndarray:
     return cols.T @ cols.conj()
 
 
-def _challenge_scores(spec: ProtocolSpec, rho: np.ndarray, pm: RegisterLayout, bs) -> np.ndarray:
-    """Q_j = tr_V[(I (x) B_j) sigma] on (P, M), sigma the state after the challenge.
+def _challenge_scores(
+    spec: ProtocolSpec, rho: np.ndarray, pm: RegisterLayout, bs, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Q_j = tr_V[(I (x) B_j) sigma] on (P, M), sigma the state after the challenge;
+    given the J x L weights w_jl, R_l = sum_j w_jl Q_j instead.
 
     This is the one place the challenge move runs: on (X, M, V), followed by
     its round's dephasing.  X is P when d_P <= d_M, and sigma starts from
     rho (x) |0><0|_V.  Otherwise X is a copy of M and the challenge takes
     |Phi><Phi| (x) |0><0|_V; its block (a, b) of X is the image of |a><b| on
     M, and rho's blocks rho_ab on P are contracted in afterwards:
-    Q_j = sum_ab rho_ab (x) (block (a, b)).  M's registers come last in pm."""
+    Q_j = sum_ab rho_ab (x) (block (a, b)).  The weights are folded in as
+    soon as the scores on X are read, so that route contracts L stacks of
+    images with rho, not J (L d_P^2 d_M^4 work).  M's registers come last
+    in pm."""
     d_m, d_v = spec.m_layout.total_dim, spec.v_layout.total_dim
     d_p = pm.total_dim // d_m
     on_p = d_p <= d_m
@@ -496,9 +503,11 @@ def _challenge_scores(spec: ProtocolSpec, rho: np.ndarray, pm: RegisterLayout, b
     if spec.challenge_round in spec.classical_rounds:
         sigma = dephase_axes(sigma, layout.dims, layout.axes(spec.m_layout.names))
     scores = measure_array(sigma, layout.dims, bs, layout.axes(spec.v_layout.names))
+    if weights is not None:
+        scores = (weights.T @ scores.reshape(len(scores), -1)).reshape((-1,) + scores.shape[1:])
     if on_p:
         return scores
-    n = len(bs)
+    n = len(scores)
     # rows (p, p') and columns (a, b) against rows (a, b) and columns (m, m')
     blocks = rho.reshape(d_p, d_m, d_p, d_m).transpose(0, 2, 1, 3).reshape(d_p * d_p, -1)
     images = scores.reshape((n,) + (d_m,) * 4).transpose(0, 1, 3, 2, 4).reshape(n, d_m * d_m, -1)
@@ -535,6 +544,24 @@ def classical_response_channel(layout: RegisterLayout, responses: Mapping[str, s
     return EbChannel(povm, preps)
 
 
+def _response_weights(xs: np.ndarray, preps: np.ndarray) -> np.ndarray:
+    """w_jl = <phi_l|X_j|phi_l>: the J x L weights that fold the closing terms
+    X_j on M into a response's emission effects, phi_l its prepared vectors
+    on (S, M) with |0> on S."""
+    phis = preps.reshape(len(preps), -1, xs.shape[-1])
+    return np.einsum("lsa,jab,lsb->jl", phis.conj(), xs, phis)
+
+
+def _accepted(kraus, effects, scores, dims, axes) -> float:
+    """sum_l tr(A_l S_l), checked: A_l the pull-back of effects[l], on `axes`
+    of `dims`, through `kraus`, one at a time, against its score S_l."""
+    p = sum(
+        np.einsum("ab,ba->", _pulled_back(kraus, effect, dims, axes), score)
+        for effect, score in zip(effects, scores)
+    )
+    return checked_probability(float(p.real), "acceptance probability")
+
+
 def run_interaction(spec: ProtocolSpec, prover: ProverStrategy) -> float:
     """Simulate the interaction and return the acceptance probability.
 
@@ -545,10 +572,11 @@ def run_interaction(spec: ProtocolSpec, prover: ProverStrategy) -> float:
     response that emits folds X_j into its effects as sum_l w_jl F_l, with
     w_jl = <phi_l|X_j|phi_l>, so the acceptance is sum_l tr(A~_l R_l), A~_l
     the pull-back of F_l through its Kraus operators and R_l = sum_j w_jl Q_j:
-    L pull-backs, the ones canonicalize_prover makes, not J.  A response
-    with no emission (the entangled form) pulls back the X_j.  One
-    pulled-back effect is held at a time.  Everything is checked, the budget
-    on (P, M, V) included, before any array is built.
+    L pull-backs, the ones canonicalize_prover makes, not J.  The weights
+    go into the challenge scores, which form only the L blocks R_l.  A
+    response with no emission (the entangled form) pulls back the X_j
+    against the Q_j.  One pulled-back effect is held at a time.  Everything
+    is checked, the budget on (P, M, V) included, before any array is built.
     """
     full, opening, response = _prover_moves(spec, prover)
     pm = full.subset(n for n in full.names if n not in spec.v_layout.names)
@@ -560,18 +588,12 @@ def run_interaction(spec: ProtocolSpec, prover: ProverStrategy) -> float:
         if 1 in spec.classical_rounds:
             rho = dephase_axes(rho, pm.dims, m_axes)
     xs, bs = _closing_terms(spec)
-    scores = _challenge_scores(spec, rho, pm, bs)
-    effects, axes = xs, m_axes
+    effects, axes, weights = xs, m_axes, None
     if len(response.effects):  # X_j -> sum_l w_jl F_l on (S, M), Q_j -> R_l = sum_j w_jl Q_j
-        phis = response.preps.reshape(len(response.preps), -1, xs.shape[-1])
-        weights = np.einsum("lsa,jab,lsb->jl", phis.conj(), xs, phis)
         effects, axes = response.effects, response.emit_axes
-        scores = np.tensordot(weights.T, scores, 1)
-    p = sum(
-        np.einsum("ab,ba->", _pulled_back(response.kraus, effect, pm.dims, axes), score)
-        for effect, score in zip(effects, scores)
-    )
-    return checked_probability(float(p.real), "acceptance probability")
+        weights = _response_weights(xs, response.preps)
+    scores = _challenge_scores(spec, rho, pm, bs, weights)
+    return _accepted(response.kraus, effects, scores, pm.dims, axes)
 
 
 acceptance_probability = run_interaction
@@ -626,6 +648,11 @@ def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStr
     so one A_l is held at a time.  A branch's G_l, with the emitted states,
     are its response.  The branch with the best conditional acceptance wins
     (ties break toward the lowest index).
+
+    Every candidate is built, and so checked, before any is scored.  They
+    are scored on (M, V), held to the budget first, with one set of closing
+    terms and response weights, by the steps of their own runs, so each
+    score is run_interaction's value for that candidate bit for bit.
     """
     pm, opening, response = _prover_moves(spec, raw, fold=True)
     dims = pm.dims
@@ -654,7 +681,27 @@ def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStr
         CanonicalStrategy(prep, EbChannel(Povm(spec.m_layout, folded), raw.emit2.preps))
         for prep, _, folded in branches
     ]
-    return max(candidates, key=lambda c: acceptance_probability(spec, c))
+    _check_simulator_dimension(spec.joint_layout())
+    xs, bs = _closing_terms(spec)
+    _, preps = _emission(candidates[0].respond, spec.m_layout, spec.m_layout, "response channel")
+    weights = _response_weights(xs, preps)
+    return max(candidates, key=lambda c: _canonical_score(spec, c, bs, weights))
+
+
+def _canonical_score(spec: ProtocolSpec, candidate: CanonicalStrategy, bs, weights) -> float:
+    """run_interaction(spec, candidate) by the steps it takes on a canonical
+    prover, given the closing terms' B_j and the response's weights w_jl:
+    the opening from |0> is psi psi^dag on M, dephased after a classical
+    round 1, and the pull-backs have no Kraus operators.  The caller has
+    checked the candidate and holds (M, V) to the budget."""
+    m_layout = spec.m_layout
+    m_axes = m_layout.axes(m_layout.names)
+    psi = candidate.first_message.amplitudes
+    rho = np.outer(psi, psi.conj())
+    if 1 in spec.classical_rounds:
+        rho = dephase_axes(rho, m_layout.dims, m_axes)
+    scores = _challenge_scores(spec, rho, m_layout, bs, weights)
+    return _accepted((), candidate.respond.povm.effects, scores, m_layout.dims, m_axes)
 
 
 # ---------------------------------------------------------------------------

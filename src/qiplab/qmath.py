@@ -404,12 +404,15 @@ def embed_operator(op: np.ndarray, dims: Sequence[int], target_axes: Sequence[in
 
     The target axes need not be contiguous or sorted; the operator's tensor
     factors are matched to `target_axes` positionally.  `op` is one
-    d_t x d_t matrix; a stack of them is refused.
+    d_t x d_t matrix; a stack of them is refused.  An operator on every axis,
+    in layout order, is returned as it is.
     """
     order, d_target, d_rest = _target_first(dims, target_axes)
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (d_target, d_target):
         raise LayoutError(f"operator shape {op.shape} does not match target dims {d_target}")
+    if d_rest == 1 and order == sorted(order):
+        return op
     d = d_target * d_rest
     eye = np.eye(d_rest, dtype=np.complex128)[:, None, :]
     kron = (op[:, None, :, None] * eye).reshape(d, d)

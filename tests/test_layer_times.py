@@ -5,7 +5,9 @@ import time
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_times.py"
-BLOCKS = ["opening", "pulled_back", "run_interaction", "canonicalize_prover", "canonical_run"]
+BLOCKS = [
+    "opening", "pulled_back", "challenge", "run_interaction", "canonicalize_prover", "canonical_run",
+]
 
 
 def load_tool():

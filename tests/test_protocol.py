@@ -140,9 +140,9 @@ def test_family_extraction_reproduces_simulated_acceptance():
         assert acceptance_probability(spec, prover) == pytest.approx(predicted, abs=1e-10)
 
 
-def drawn_raw_prover(w_dim, s_dim, v_dim, classical, seed, n_outcomes=2):
+def drawn_raw_prover(w_dim, s_dim, v_dim, classical, seed, n_outcomes=2, m_dim=2):
     rng = np.random.default_rng(seed)
-    spec = random_verifier_spec(rng, v_dim=v_dim, classical=classical)
+    spec = random_verifier_spec(rng, m_dim=m_dim, v_dim=v_dim, classical=classical)
     workspace = RegisterLayout(("W", "S"), (w_dim, s_dim))
     return spec, random_raw_prover(rng, spec, workspace=workspace, n_outcomes=n_outcomes)
 
@@ -294,6 +294,121 @@ def test_fold_picks_the_stacked_fold_branch_and_matches_its_effects_to_1e13(
         got = canonicalize_prover(spec, raw)
         assert got.first_message is want.first_message
         assert np.max(np.abs(got.respond.povm.effects - want.respond.povm.effects)) < 1e-13
+
+
+def scored_fold(spec, raw):
+    """canonicalize_prover's winner, and each candidate it scored with its score."""
+    scored = []
+    score = protocol._canonical_score
+
+    def spy(spec, candidate, bs, weights):
+        scored.append((candidate, score(spec, candidate, bs, weights)))
+        return scored[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_canonical_score", spy)
+        return canonicalize_prover(spec, raw), scored
+
+
+@pytest.mark.parametrize("m_dim", [2, 3])
+@raw_prover_draws
+@example(w_dim=3, s_dim=3, v_dim=3, classical=(1, 2, 3), seed=1)  # (d_M, d_V) = (3, 3) at m_dim 3
+def test_the_fold_scores_each_candidate_as_its_run_bit_for_bit(
+    m_dim, w_dim, s_dim, v_dim, classical, seed
+):
+    for n_outcomes in (2, 3, 4):
+        spec, raw = drawn_raw_prover(w_dim, s_dim, v_dim, classical, seed, n_outcomes, m_dim)
+        winner, scored = scored_fold(spec, raw)
+        assert scored
+        for candidate, score in scored:
+            assert score == acceptance_probability(spec, candidate)
+        best = max(score for _, score in scored)
+        assert winner is next(candidate for candidate, score in scored if score == best)
+
+
+def test_the_fold_runs_no_candidate_and_forms_the_closing_terms_once(monkeypatch):
+    # (W, S) = (8, 4), M = 2 and V = 4, as the sim-large benchmark draws them
+    rng = derived_rng(36, "contraction")
+    spec = random_verifier_spec(rng, m_dim=2, v_dim=4)
+    raw = random_raw_prover(rng, spec, workspace=RegisterLayout(("W", "S"), (8, 4)), n_outcomes=3)
+    moved, closings = [], []
+    prover_moves, closing_terms = protocol._prover_moves, protocol._closing_terms
+
+    def no_run(*args):
+        raise AssertionError("the fold ran a candidate")
+
+    def moves(spec, prover, fold=False):
+        moved.append(prover)
+        return prover_moves(spec, prover, fold)
+
+    def closing(spec):
+        closings.append(spec)
+        return closing_terms(spec)
+
+    for name in ("run_interaction", "acceptance_probability"):
+        monkeypatch.setattr(protocol, name, no_run)
+    monkeypatch.setattr(protocol, "_prover_moves", moves)
+    monkeypatch.setattr(protocol, "_closing_terms", closing)
+    canonicalize_prover(spec, raw)
+    assert moved == [raw]
+    assert closings == [spec]
+
+
+def test_the_fold_keeps_the_first_of_equal_candidates():
+    # a first emission with two identical outcomes, I/2 and I/2, and equal but
+    # distinct prepared states: both branches fold to the same candidate value
+    rng = derived_rng(40, "ties")
+    spec = random_verifier_spec(rng)
+    raw = random_raw_prover(rng, spec)
+    sm = raw.workspace.subset(raw.eb_labels).concat(spec.m_layout)
+    psi = random_pure(rng, spec.m_layout)
+    twins = (psi, PureState(spec.m_layout, psi.amplitudes.copy()))
+    halves = Povm(sm, [np.eye(sm.total_dim) / 2] * 2)
+    raw = dataclasses.replace(raw, emit1=EbChannel(halves, twins))
+    assert canonicalize_prover(spec, raw).first_message is raw.emit1.preps[0]
+
+
+@pytest.mark.parametrize(
+    "m_dim, p_dims, v_dim, classical",
+    [
+        (2, (2,), 3, ()),  # d_P <= d_M: the challenge runs on (P, M, V)
+        (3, (3,), 2, (1, 2, 3)),
+        (2, (2, 3), 3, (2, 3)),  # d_P > d_M: on a copy of M, then rho's blocks
+        (3, (4,), 2, (1,)),
+    ],
+)
+def test_weights_folded_into_the_challenge_scores_match_the_folded_scores(
+    m_dim, p_dims, v_dim, classical
+):
+    rng = derived_rng(38, "weights", m_dim, v_dim)
+    spec = random_verifier_spec(rng, m_dim=m_dim, v_dim=v_dim, classical=classical)
+    names = tuple(f"P{i}" for i in range(len(p_dims)))
+    pm = RegisterLayout(names, p_dims).concat(spec.m_layout)
+    rho = random_density(rng, pm).entries
+    xs, bs = protocol._closing_terms(spec)
+    preps = np.array([random_pure(rng, spec.m_layout).amplitudes for _ in range(3)])
+    weights = protocol._response_weights(xs, preps)
+    got = protocol._challenge_scores(spec, rho, pm, bs, weights)
+    want = np.tensordot(weights.T, protocol._challenge_scores(spec, rho, pm, bs), 1)
+    assert got.shape == (3, pm.total_dim, pm.total_dim)
+    assert np.max(np.abs(got - want)) < 1e-15
+
+
+def test_the_fold_holds_m_and_v_to_the_budget_before_scoring(monkeypatch):
+    rng = derived_rng(39, "budget")
+    spec = random_verifier_spec(rng, v_dim=5)  # (M, V) has dimension 10
+    raw = random_raw_prover(rng, spec)  # (W, S, M) has dimension 8
+    monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 10)
+    assert isinstance(canonicalize_prover(spec, raw), CanonicalStrategy)
+    monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 9)
+
+    def no_scoring(*args):
+        raise AssertionError("a candidate was scored")
+
+    for name in ("_closing_terms", "_canonical_score", "run_interaction", "acceptance_probability"):
+        monkeypatch.setattr(protocol, name, no_scoring)
+    with pytest.raises(BudgetError, match="simulator budget"):
+        canonicalize_prover(spec, raw)
 
 
 def test_fold_memory_does_not_grow_with_the_emission_outcomes():

@@ -9,6 +9,9 @@ per block:
 - ``opening``: the opening move on (P, M) from |0>, as ``run_interaction``
   runs it (the Kraus operators by their first columns, then the emission);
 - ``pulled_back``: one second-emission effect pulled back through mix2;
+- ``challenge``: the challenge scores of the raw run's front, the opened
+  state on (P, M), with the response weights folded in, as
+  ``run_interaction`` forms them;
 - ``run_interaction``: the raw prover's acceptance probability;
 - ``canonicalize_prover``: the fold into canonical form;
 - ``canonical_run``: the canonical prover's acceptance probability.
@@ -64,6 +67,15 @@ def blocks(w_dim: int, s_dim: int) -> tuple[dict, dict]:
     def pull_back():
         return protocol._pulled_back(response.kraus, response.effects[0], pm.dims, response.emit_axes)
 
+    front = open_from_zero()
+    if 1 in spec.classical_rounds:
+        front = protocol.dephase_axes(front, pm.dims, pm.axes(spec.m_layout.names))
+    xs, bs = protocol._closing_terms(spec)
+    weights = protocol._response_weights(xs, response.preps)
+
+    def challenge():
+        return protocol._challenge_scores(spec, front, pm, bs, weights)
+
     shape = {
         "w": w_dim, "s": s_dim, "m": M_DIM, "v": V_DIM,
         "d_pm": pm.total_dim, "d": pm.total_dim * spec.v_layout.total_dim,
@@ -71,6 +83,7 @@ def blocks(w_dim: int, s_dim: int) -> tuple[dict, dict]:
     calls = {
         "opening": open_from_zero,
         "pulled_back": pull_back,
+        "challenge": challenge,
         "run_interaction": lambda: protocol.run_interaction(spec, raw),
         "canonicalize_prover": lambda: protocol.canonicalize_prover(spec, raw),
         "canonical_run": lambda: protocol.run_interaction(spec, canonical),
