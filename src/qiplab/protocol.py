@@ -28,9 +28,10 @@ operators read by their first columns; the closing effect is split over M|V
 into min(d_M, d_V)^2 product terms; a response that emits folds them into
 its L emission effects, and those (the terms themselves, with no emission)
 are pulled back through the response onto (P, M) one at a time; the
-challenge runs on (X, M, V), where X is P when d_P <= d_M and a copy of M
-otherwise, and its scores take the same weights before they reach (P, M).
-No array is larger than (P, M) or (X, M, V).
+challenge dephases M after a classical opening, runs on (X, M, V), where X
+is P when d_P <= d_M and a copy of M otherwise, and its scores take the
+same weights before they reach (P, M).  No array is larger than (P, M) or
+(X, M, V).
 
 Family extraction and the two-round postselection read the verifier the
 same way, through the same closing terms and challenge scores, as the
@@ -72,7 +73,6 @@ from .qmath import (
     checked_effects,
     dagger,
     dephase_axes,
-    embed_operator,
     kron_all,
     measure_array,
     prepare_array,
@@ -452,13 +452,15 @@ def _closing_terms(spec: ProtocolSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _pulled_back(kraus: np.ndarray, effect: np.ndarray, dims, axes) -> np.ndarray:
     """sum_k K_k^dag (E (x) I) K_k for the effect E on `axes` of `dims`, or
-    E (x) I with no Kraus operators.
+    E itself with no Kraus operators: the callers with none (canonical and
+    classical responses, _canonical_score) pass effects on all of M, in
+    layout order.
 
     E (x) I is never built: the rows of each K_k, gathered in (target, rest)
     order, take E as d_t rows (d_t^2 d_r d work), and the gathered rows'
     adjoint meets the result in one d x d product per operator."""
     if not len(kraus):
-        return embed_operator(effect, dims, axes)
+        return effect
     order, d_t, _ = _target_first(dims, axes)
     n, d = len(dims), math.prod(dims)
     out = np.zeros((d, d), dtype=np.complex128)
@@ -483,15 +485,19 @@ def _challenge_scores(
     """Q_j = tr_V[(I (x) B_j) sigma] on (P, M), sigma the state after the challenge;
     given the J x L weights w_jl, R_l = sum_j w_jl Q_j instead.
 
-    This is the one place the challenge move runs: on (X, M, V), followed by
-    its round's dephasing.  X is P when d_P <= d_M, and sigma starts from
-    rho (x) |0><0|_V.  Otherwise X is a copy of M and the challenge takes
+    This is the one place a classical opening is dephased (M in `rho`, the
+    opened state on (P, M), when round 1 of three is classical) and the one
+    place the challenge move runs: on (X, M, V), followed by its round's
+    dephasing.  X is P when d_P <= d_M, and sigma starts from rho (x)
+    |0><0|_V.  Otherwise X is a copy of M and the challenge takes
     |Phi><Phi| (x) |0><0|_V; its block (a, b) of X is the image of |a><b| on
     M, and rho's blocks rho_ab on P are contracted in afterwards:
     Q_j = sum_ab rho_ab (x) (block (a, b)).  The weights are folded in as
     soon as the scores on X are read, so that route contracts L stacks of
     images with rho, not J (L d_P^2 d_M^4 work).  M's registers come last
     in pm."""
+    if spec.rounds == 3 and 1 in spec.classical_rounds:
+        rho = dephase_axes(rho, pm.dims, pm.axes(spec.m_layout.names))
     d_m, d_v = spec.m_layout.total_dim, spec.v_layout.total_dim
     d_p = pm.total_dim // d_m
     on_p = d_p <= d_m
@@ -566,29 +572,27 @@ def run_interaction(spec: ProtocolSpec, prover: ProverStrategy) -> float:
     """Simulate the interaction and return the acceptance probability.
 
     An exact contraction: the opening runs forward on (P, M) from |0> to
-    rho; the closing effect is split as sum_j X_j (x) B_j; the challenge,
-    run on (X, M, V), gives Q_j on (P, M).  The acceptance is
-    sum_j tr(A_j Q_j), A_j the pull-back of X_j through the response.  A
-    response that emits folds X_j into its effects as sum_l w_jl F_l, with
-    w_jl = <phi_l|X_j|phi_l>, so the acceptance is sum_l tr(A~_l R_l), A~_l
-    the pull-back of F_l through its Kraus operators and R_l = sum_j w_jl Q_j:
-    L pull-backs, the ones canonicalize_prover makes, not J.  The weights
-    go into the challenge scores, which form only the L blocks R_l.  A
-    response with no emission (the entangled form) pulls back the X_j
-    against the Q_j.  One pulled-back effect is held at a time.  Everything
-    is checked, the budget on (P, M, V) included, before any array is built.
+    rho; the closing effect is split as sum_j X_j (x) B_j; the challenge
+    dephases a classical opening and, run on (X, M, V), gives Q_j on (P, M).
+    The acceptance is sum_j tr(A_j Q_j), A_j the pull-back of X_j through
+    the response.  A response that emits folds X_j into its effects as
+    sum_l w_jl F_l, with w_jl = <phi_l|X_j|phi_l>, so the acceptance is
+    sum_l tr(A~_l R_l), A~_l the pull-back of F_l through its Kraus
+    operators and R_l = sum_j w_jl Q_j: L pull-backs, the ones
+    canonicalize_prover makes, not J.  The weights go into the challenge
+    scores, which form only the L blocks R_l.  A response with no emission
+    (the entangled form) pulls back the X_j against the Q_j.  One
+    pulled-back effect is held at a time.  Everything is checked, the
+    budget on (P, M, V) included, before any array is built.
     """
     full, opening, response = _prover_moves(spec, prover)
     pm = full.subset(n for n in full.names if n not in spec.v_layout.names)
-    m_axes = pm.axes(spec.m_layout.names)
     if opening is None:
         rho = _zero_state(pm.total_dim)
     else:
         rho = _emitted(_from_zero(opening.kraus, pm.total_dim), pm.dims, opening)
-        if 1 in spec.classical_rounds:
-            rho = dephase_axes(rho, pm.dims, m_axes)
     xs, bs = _closing_terms(spec)
-    effects, axes, weights = xs, m_axes, None
+    effects, axes, weights = xs, pm.axes(spec.m_layout.names), None
     if len(response.effects):  # X_j -> sum_l w_jl F_l on (S, M), Q_j -> R_l = sum_j w_jl Q_j
         effects, axes = response.effects, response.emit_axes
         weights = _response_weights(xs, response.preps)
@@ -651,7 +655,8 @@ def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStr
 
     Every candidate is built, and so checked, before any is scored.  They
     are scored on (M, V), held to the budget first, with one set of closing
-    terms and response weights, by the steps of their own runs, so each
+    terms and response weights (those of the raw response's own vectors,
+    whose S != 0 entries are zeros), by the steps of their own runs, so each
     score is run_interaction's value for that candidate bit for bit.
     """
     pm, opening, response = _prover_moves(spec, raw, fold=True)
@@ -683,24 +688,20 @@ def canonicalize_prover(spec: ProtocolSpec, raw: ProverStrategy) -> CanonicalStr
     ]
     _check_simulator_dimension(spec.joint_layout())
     xs, bs = _closing_terms(spec)
-    _, preps = _emission(candidates[0].respond, spec.m_layout, spec.m_layout, "response channel")
-    weights = _response_weights(xs, preps)
+    weights = _response_weights(xs, response.preps)
     return max(candidates, key=lambda c: _canonical_score(spec, c, bs, weights))
 
 
 def _canonical_score(spec: ProtocolSpec, candidate: CanonicalStrategy, bs, weights) -> float:
     """run_interaction(spec, candidate) by the steps it takes on a canonical
     prover, given the closing terms' B_j and the response's weights w_jl:
-    the opening from |0> is psi psi^dag on M, dephased after a classical
-    round 1, and the pull-backs have no Kraus operators.  The caller has
-    checked the candidate and holds (M, V) to the budget."""
+    the opening from |0> is psi psi^dag on M, and the pull-backs have no
+    Kraus operators.  The caller has checked the candidate and holds (M, V)
+    to the budget."""
     m_layout = spec.m_layout
     m_axes = m_layout.axes(m_layout.names)
     psi = candidate.first_message.amplitudes
-    rho = np.outer(psi, psi.conj())
-    if 1 in spec.classical_rounds:
-        rho = dephase_axes(rho, m_layout.dims, m_axes)
-    scores = _challenge_scores(spec, rho, m_layout, bs, weights)
+    scores = _challenge_scores(spec, np.outer(psi, psi.conj()), m_layout, bs, weights)
     return _accepted((), candidate.respond.povm.effects, scores, m_layout.dims, m_axes)
 
 
@@ -715,8 +716,9 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
     acceptance of a prover that opens with rho on M and answers challenge y
     with g(y) is sum_y tr(N_{y,g(y)} rho).  The transcript scores are read
     once from |Phi><Phi| on a copy M' of M and M, as from a prover whose
-    workspace is M': S[y, z] on M' has entry (j, k) from the matrix unit
-    |j><k| on M, so N_{y,z} is S[y, z] transposed, then symmetrized.
+    workspace is M' (the challenge dephases its M after a classical round
+    1): S[y, z] on M' has entry (j, k) from the matrix unit |j><k| on M, so
+    N_{y,z} is S[y, z] transposed, then symmetrized.
     (M', M, V) is held to the simulator budget.
     """
     if spec.rounds != 3:
@@ -727,10 +729,7 @@ def joint_response_operators(spec: ProtocolSpec) -> MeasurementFamily:
         raise ValidationError("family extraction needs a classical response round")
     pm = _copy_of_m(spec)
     _check_simulator_dimension(pm.concat(spec.v_layout))
-    front = _maximally_entangled(spec.m_layout.total_dim)
-    if 1 in spec.classical_rounds:
-        front = dephase_axes(front, pm.dims, pm.axes(spec.m_layout.names))
-    scores, _ = _transcript_scores(spec, front, pm)
+    scores, _ = _transcript_scores(spec, _maximally_entangled(spec.m_layout.total_dim), pm)
     tables = scores.transpose(0, 1, 3, 2)
     labels = spec.m_layout.basis_labels()
     return MeasurementFamily(labels, labels, spec.m_layout, (tables + dagger(tables)) / 2)

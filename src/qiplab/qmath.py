@@ -5,15 +5,15 @@ register is the most significant index (row-major basis ordering).  All
 state and operator types validate their defining invariants at construction
 and hold read-only arrays.
 
-The array helpers take one plain D x D matrix per call and address
-registers by axis: reorder_array moves registers, apply_kraus_array applies
-Kraus operators on target registers only, and measure_array / prepare_array
+The array layer is the contractions the package calls, each on one plain
+D x D matrix with registers addressed by axis: reorder_array moves
+registers, apply_kraus_array applies Kraus operators on target registers
+only, dephase_axes dephases them, and measure_array / prepare_array
 contract stacked effects and prepared states, the two halves of a
 measure-and-prepare step; measuring the identity is the partial trace.
 adjoint_kraus_array pulls an effect on the whole output space back through
-Kraus operators; it serves only protocol._closing_terms and
-channels.adjoint_apply (the simulator pulls a prover's effects back in
-protocol._pulled_back, without embedding them).
+Kraus operators, for protocol._closing_terms and channels.adjoint_apply.
+No operator is ever embedded as O (x) I.
 
 Intended for exact toy-scale work: the protocol simulator refuses total
 dimensions above qiplab.protocol.SIMULATOR_DIMENSION_BUDGET (1024).
@@ -397,26 +397,6 @@ def _target_first(dims: Sequence[int], target_axes: Sequence[int]):
     order = target + [a for a in range(len(dims)) if a not in target]
     d_t = math.prod(dims[a] for a in target)
     return order, d_t, math.prod(dims) // d_t
-
-
-def embed_operator(op: np.ndarray, dims: Sequence[int], target_axes: Sequence[int]) -> np.ndarray:
-    """Extend `op`, acting on the listed axes in the listed order, by identity.
-
-    The target axes need not be contiguous or sorted; the operator's tensor
-    factors are matched to `target_axes` positionally.  `op` is one
-    d_t x d_t matrix; a stack of them is refused.  An operator on every axis,
-    in layout order, is returned as it is.
-    """
-    order, d_target, d_rest = _target_first(dims, target_axes)
-    op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (d_target, d_target):
-        raise LayoutError(f"operator shape {op.shape} does not match target dims {d_target}")
-    if d_rest == 1 and order == sorted(order):
-        return op
-    d = d_target * d_rest
-    eye = np.eye(d_rest, dtype=np.complex128)[:, None, :]
-    kron = (op[:, None, :, None] * eye).reshape(d, d)
-    return _restore(kron, dims, order)
 
 
 def apply_kraus_array(

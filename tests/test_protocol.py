@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -44,7 +45,6 @@ from qiplab.qmath import (
     apply_kraus_array,
     basis_projectors,
     dephase_axes,
-    embed_operator,
     kron_all,
     measure_array,
     prepare_array,
@@ -264,7 +264,7 @@ def stacked_fold(spec, raw):
     rho1 = apply_kraus_array(protocol._zero_state(pm.total_dim), dims, opening.kraus, opening.kraus_axes)
     blocks = measure_array(rho1, dims, opening.effects, sm_axes)
     pulled = [
-        adjoint_kraus_array(embed_operator(effect, dims, sm_axes), response.kraus)
+        adjoint_kraus_array(stacked_embed(effect[None], dims, sm_axes)[0], response.kraus)
         for effect in response.effects
     ]
     best = None
@@ -392,6 +392,69 @@ def test_weights_folded_into_the_challenge_scores_match_the_folded_scores(
     want = np.tensordot(weights.T, protocol._challenge_scores(spec, rho, pm, bs), 1)
     assert got.shape == (3, pm.total_dim, pm.total_dim)
     assert np.max(np.abs(got - want)) < 1e-15
+
+
+def classical_opening_draw(classical, m_dim, seed):
+    """A three-round spec with the given classical rounds, a raw prover on
+    (W, S) = (2, 2), so d_P = 4 > d_M, and a first message on M."""
+    rng = derived_rng(41, "classical-opening", m_dim, seed)
+    spec = random_verifier_spec(rng, m_dim=m_dim, v_dim=2, classical=classical)
+    return spec, random_raw_prover(rng, spec, n_outcomes=3), random_pure(rng, spec.m_layout)
+
+
+def opened_state(spec, prover):
+    """run_interaction's opened state on (P, M), (P, M) and the response move."""
+    full, opening, response = protocol._prover_moves(spec, prover)
+    pm = full.subset(n for n in full.names if n not in spec.v_layout.names)
+    rho = protocol._emitted(protocol._from_zero(opening.kraus, pm.total_dim), pm.dims, opening)
+    return rho, pm, response
+
+
+@pytest.mark.parametrize("classical", [(1,), (1, 2), (1, 3), (1, 2, 3)])
+@pytest.mark.parametrize("m_dim", [2, 3])
+def test_the_challenge_dephases_a_classical_opening_itself(classical, m_dim):
+    for seed in range(3):
+        spec, raw, psi = classical_opening_draw(classical, m_dim, seed)
+        xs, bs = protocol._closing_terms(spec)
+        rho, pm, response = opened_state(spec, raw)
+        weights = protocol._response_weights(xs, response.preps)
+        # a canonical front on M, and a raw one whose challenge runs on a copy of M
+        for front, layout in ((psi.projector(), spec.m_layout), (rho, pm)):
+            dephased = dephase_axes(front, layout.dims, layout.axes(spec.m_layout.names))
+            assert not np.array_equal(front, dephased)
+            for w in (None, weights):
+                got = protocol._challenge_scores(spec, front, layout, bs, w)
+                assert np.array_equal(got, protocol._challenge_scores(spec, dephased, layout, bs, w))
+
+
+def test_callers_pass_the_undephased_opening_to_the_challenge(monkeypatch):
+    # only the challenge scores (the opening) and the closing terms (the
+    # response round) dephase; each caller hands over the state it opened
+    spec, raw, _ = classical_opening_draw((1, 2, 3), 2, 0)
+    opened, _, _ = opened_state(spec, raw)
+    dephasers, fronts = [], []
+    dephase, challenge_scores = protocol.dephase_axes, protocol._challenge_scores
+
+    def spied_dephase(rho, dims, axes):
+        dephasers.append(sys._getframe(1).f_code.co_name)
+        return dephase(rho, dims, axes)
+
+    def spied_scores(spec, rho, pm, bs, weights=None):
+        fronts.append((rho.copy(), pm))
+        return challenge_scores(spec, rho, pm, bs, weights)
+
+    monkeypatch.setattr(protocol, "dephase_axes", spied_dephase)
+    monkeypatch.setattr(protocol, "_challenge_scores", spied_scores)
+    run_interaction(spec, raw)
+    canonical = canonicalize_prover(spec, raw)
+    joint_response_operators(spec)
+    assert set(dephasers) == {"_challenge_scores", "_closing_terms"}
+    # the raw run's opened state, one candidate's psi psi^dag, and |Phi><Phi|
+    assert np.array_equal(fronts[0][0], opened)
+    assert any(np.array_equal(f, canonical.first_message.projector()) for f, _ in fronts[1:-1])
+    assert np.array_equal(fronts[-1][0], protocol._maximally_entangled(spec.m_layout.total_dim))
+    for front, pm in fronts:
+        assert not np.array_equal(front, dephase(front, pm.dims, pm.axes(spec.m_layout.names)))
 
 
 def test_the_fold_holds_m_and_v_to_the_budget_before_scoring(monkeypatch):
@@ -851,9 +914,10 @@ def test_contraction_matches_the_forward_run(case):
 
 
 def stacked_embed(ops, dims, target_axes):
-    """Test-only copy of embed_operator when it took a stack (n, d_t, d_t):
-    one broadcast product with the identity, then one transpose of the
-    whole stack back to layout order."""
+    """Test-only embedding of a stack (n, d_t, d_t) of operators on
+    `target_axes` as O (x) I: one broadcast product with the identity, then
+    one transpose of the whole stack back to layout order.  ops[None] embeds
+    a single operator."""
     target = list(target_axes)
     order = target + [a for a in range(len(dims)) if a not in target]
     d_t = math.prod(dims[a] for a in target)
@@ -923,7 +987,7 @@ def embedded_pull_back(kraus, effect, dims, axes):
     """Test-only copy of _pulled_back when it embedded E as E (x) I on the
     whole space and formed K^dag (E (x) I) K with two dense products per
     Kraus operator."""
-    effect = embed_operator(effect, dims, axes)
+    effect = stacked_embed(effect[None], dims, axes)[0]
     return adjoint_kraus_array(effect, kraus) if len(kraus) else effect
 
 
@@ -955,8 +1019,9 @@ def test_pull_back_by_gathered_rows_matches_the_embedded_pull_back(case):
     got = protocol._pulled_back(kraus, effect, pm.dims, target)
     assert got.shape == (pm.total_dim, pm.total_dim)
     assert np.max(np.abs(got - want)) < 1e-13
-    empty = protocol._pulled_back(kraus[:0], effect, pm.dims, target)
-    assert np.array_equal(empty, embedded_pull_back(kraus[:0], effect, pm.dims, target))
+    # with no Kraus operators, an effect on every axis in layout order is its own pull-back
+    whole = random_effect(rng, pm).entries
+    assert protocol._pulled_back(kraus[:0], whole, pm.dims, tuple(range(4))) is whole
 
 
 @given(
@@ -1059,7 +1124,7 @@ def test_a_sim_large_run_passes_no_array_of_the_total_dimension(monkeypatch):
 
     kernels = (
         "_zero_state", "apply_kraus_array", "adjoint_kraus_array", "dephase_axes",
-        "embed_operator", "measure_array", "prepare_array",
+        "measure_array", "prepare_array",
     )
     for name in kernels:
         monkeypatch.setattr(protocol, name, watched(getattr(protocol, name)))

@@ -15,7 +15,6 @@ from qiplab.qmath import (
     apply_kraus_array,
     born_probability,
     dephase_axes,
-    embed_operator,
     hermitian_eig,
     measure_array,
     partial_trace,
@@ -277,24 +276,6 @@ def test_partial_transpose_involution_and_product_safety():
         assert np.linalg.eigvalsh(prod_pt)[0] > -1e-12
 
 
-def test_embed_operator_arbitrary_axis_order():
-    dims = (2, 3, 2)
-    rng = np.random.default_rng(7)
-    op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    # acting on axes (2, 0) means the operator's first factor is axis 2
-    full = embed_operator(op, dims, (2, 0))
-    vec = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
-    joint = np.kron(np.kron(vec[0], vec[1]), vec[2])
-    out = full @ joint
-    # oracle: reorder to (axis2, axis0), apply op (x) I, reorder back
-    t = joint.reshape(dims).transpose(2, 0, 1).reshape(4, 3)
-    t = (op @ t).reshape(2, 2, 3).transpose(1, 2, 0).reshape(-1)
-    assert np.max(np.abs(out - t)) < 1e-12
-    # one operator per call: a stack of them is refused
-    with pytest.raises(LayoutError):
-        embed_operator(op[None], dims, (2, 0))
-
-
 def test_dephase_axes_kills_off_diagonals():
     rng = np.random.default_rng(11)
     rho = random_density(rng, PAIR).entries
@@ -339,11 +320,22 @@ def test_measure_and_prepare_reject_misshaped_inputs():
         prepare_array(blocks, dims, [np.ones(4), np.ones(4)], (2, 0))
 
 
+def embedded(op, dims, target_axes):
+    """Test-only op (x) I on `dims`, op's tensor factors on `target_axes` in
+    that order: the Kronecker product in (target, rest) order, its rows and
+    columns then moved back to layout order."""
+    order = list(target_axes) + [a for a in range(len(dims)) if a not in target_axes]
+    back = sorted(range(len(dims)), key=order.__getitem__)
+    d = math.prod(dims)
+    full = np.kron(op, np.eye(d // len(op))).reshape(tuple(dims[a] for a in order) * 2)
+    return full.transpose(back + [len(dims) + a for a in back]).reshape(d, d)
+
+
 def embedded_kraus_sum(rho, dims, kraus, target_axes):
     """Reference: each operator embedded into the full space, two D x D products."""
     out = np.zeros(rho.shape, dtype=np.complex128)
     for k in kraus:
-        full = embed_operator(k, dims, target_axes)
+        full = embedded(k, dims, target_axes)
         out += full @ rho @ full.conj().T
     return out
 

@@ -10,8 +10,8 @@ per block:
   runs it (the Kraus operators by their first columns, then the emission);
 - ``pulled_back``: one second-emission effect pulled back through mix2;
 - ``challenge``: the challenge scores of the raw run's front, the opened
-  state on (P, M), with the response weights folded in, as
-  ``run_interaction`` forms them;
+  state on (P, M), with the response weights folded in: the call
+  ``run_interaction`` makes;
 - ``run_interaction``: the raw prover's acceptance probability;
 - ``canonicalize_prover``: the fold into canonical form;
 - ``canonical_run``: the canonical prover's acceptance probability.
@@ -68,8 +68,6 @@ def blocks(w_dim: int, s_dim: int) -> tuple[dict, dict]:
         return protocol._pulled_back(response.kraus, response.effects[0], pm.dims, response.emit_axes)
 
     front = open_from_zero()
-    if 1 in spec.classical_rounds:
-        front = protocol.dephase_axes(front, pm.dims, pm.axes(spec.m_layout.names))
     xs, bs = protocol._closing_terms(spec)
     weights = protocol._response_weights(xs, response.preps)
 

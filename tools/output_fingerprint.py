@@ -12,12 +12,15 @@ parent commit, unpacked).  The fingerprint holds:
 - ``ops``: ``float.hex`` of every recorded op value of the ``sim-small``,
   ``sim-large`` and ``solve`` workloads (TREE's ``perfbench/workloads``),
   for each instance of the pools of seeds 0 and 1;
-- ``documents``: the sha256 of three input documents that TREE's codec
-  writes from fixed ``derived_rng`` draws (a ``random_verifier_spec`` and
-  ``random_raw_prover`` pair, and a ``random_eb_channel``), and of what
+- ``documents``: the sha256 of five input documents that TREE's codec
+  writes from fixed ``derived_rng`` draws (two ``random_verifier_spec`` and
+  ``random_raw_prover`` pairs, and a ``random_eb_channel``), and of what
   ``canonicalize --spec --prover --emit`` and ``eb-check --channel`` make
   of them, each run as a fresh process like the README commands: the
-  emitted canonical strategy and both CSV reports.
+  emitted canonical strategies and the CSV reports.  The second pair's
+  spec has every round classical, round 1 included, which no benchmark
+  instance or README command has; ``opening-family`` is the sha256 of its
+  ``joint_response_operators`` effects, computed in this process.
 
 Two trees whose fingerprints are equal produce the same report bytes,
 documents and op values to the last bit.  The perfbench modules are only
@@ -62,6 +65,7 @@ def csv_digests(clirun, proc) -> dict[str, str]:
 
 def document_digests(proc) -> dict[str, str]:
     from qiplab import cli, random_instances
+    from qiplab.protocol import joint_response_operators
     from qiplab.qmath import RegisterLayout
     from qiplab.utils import derived_rng
 
@@ -70,21 +74,31 @@ def document_digests(proc) -> dict[str, str]:
     prover = random_instances.random_raw_prover(rng, spec)
     qutrit, qubit = RegisterLayout(("A",), (3,)), RegisterLayout(("B",), (2,))
     channel = random_instances.random_eb_channel(rng, qutrit, qubit)
+    opening_spec = random_instances.random_verifier_spec(rng, classical=(1, 2, 3))
+    opening_prover = random_instances.random_raw_prover(rng, opening_spec)
     inputs = {
         "spec.json": cli.protocol_document(spec),
         "prover.json": cli.strategy_document(prover),
         "channel.json": cli.channel_document(channel),
+        "opening-spec.json": cli.protocol_document(opening_spec),
+        "opening-prover.json": cli.strategy_document(opening_prover),
     }
     with tempfile.TemporaryDirectory(prefix="fingerprint-") as cwd:
         for name, doc in inputs.items():
             (Path(cwd) / name).write_text(cli.dumps_document(doc) + "\n")
-        run_cli(
-            proc, cwd, "canonicalize", "--spec", "spec.json", "--prover", "prover.json",
-            "--emit", "canonical.json", "--csv", "canonicalize.csv",
-        )
+        outputs = []
+        for pair in ("", "opening-"):
+            run_cli(
+                proc, cwd, "canonicalize", "--spec", f"{pair}spec.json",
+                "--prover", f"{pair}prover.json",
+                "--emit", f"{pair}canonical.json", "--csv", f"{pair}canonicalize.csv",
+            )
+            outputs += [f"{pair}canonical.json", f"{pair}canonicalize.csv"]
         run_cli(proc, cwd, "eb-check", "--channel", "channel.json", "--csv", "eb-check.csv")
-        names = [*inputs, "canonical.json", "canonicalize.csv", "eb-check.csv"]
-        return {name: sha256(Path(cwd) / name) for name in names}
+        digests = {name: sha256(Path(cwd) / name) for name in [*inputs, *outputs, "eb-check.csv"]}
+    family = joint_response_operators(opening_spec).effects
+    digests["opening-family"] = hashlib.sha256(family.tobytes()).hexdigest()
+    return digests
 
 
 def op_values(workloads) -> dict[str, dict[str, list[dict[str, str]]]]:
