@@ -21,18 +21,14 @@ from .qmath import (
     RegisterLayout,
     born_probability,
     hermitian_eig,
-    partial_trace,
     partial_transpose,
-    tensor,
 )
 from .channels import (
     ChoiMatrix,
     EbChannel,
     KrausChannel,
     adjoint_apply,
-    apply_eb,
     apply_kraus,
-    channels_equal,
     check_eb_ppt,
     choi,
     eb_from_separable_choi,

@@ -8,8 +8,7 @@ entanglement-breaking ones, which is what the Choi/PPT utilities certify.
 
 Choi states use the trace-one convention: the channel is applied to half of
 the maximally entangled state, so channels are equal iff their Choi states
-are.  Equality checks compare Choi states entrywise; this is a conservative
-stand-in for a calibrated diamond-norm distance, which is out of scope.
+are.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .qmath import (
 )
 
 TRACE_PRESERVING_TOL = 1e-8
-CHOI_EQUAL_TOL = 1e-9
 NPT_TOL = 1e-9
 # How far below zero a decomposition's term probability may be as rounding.
 TERM_SIGN_TOL = 1e-12
@@ -74,10 +72,6 @@ class KrausChannel:
     @classmethod
     def identity(cls, layout: RegisterLayout) -> "KrausChannel":
         return cls(layout, layout, (np.eye(layout.total_dim),))
-
-    @classmethod
-    def from_unitary(cls, layout: RegisterLayout, u: np.ndarray) -> "KrausChannel":
-        return cls(layout, layout, (np.asarray(u, dtype=np.complex128),))
 
 
 @dataclass(frozen=True)
@@ -131,19 +125,6 @@ def apply_kraus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     out = np.zeros((channel.out_layout.total_dim,) * 2, dtype=np.complex128)
     for k in channel.kraus_ops:
         out += k @ rho.entries @ dagger(k)
-    return DensityMatrix(channel.out_layout, out)
-
-
-def apply_eb(channel: EbChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Evaluate the measure-and-prepare sum term by term."""
-    if rho.layout.dims != channel.in_layout.dims:
-        raise LayoutError(
-            f"state dims {rho.layout.dims} do not match channel input {channel.in_layout.dims}"
-        )
-    out = np.zeros((channel.out_layout.total_dim,) * 2, dtype=np.complex128)
-    for effect, prep in zip(channel.povm.effects, channel.preps):
-        weight = float(np.trace(effect @ rho.entries).real)
-        out += weight * prep.projector()
     return DensityMatrix(channel.out_layout, out)
 
 
@@ -220,15 +201,6 @@ def choi(channel: KrausChannel | EbChannel) -> ChoiMatrix:
         raise ValidationError(f"cannot take the Choi state of {type(channel).__name__}")
     layout = RegisterLayout(_CHOI_LAYOUT_NAMES, (d_in, d_out))
     return ChoiMatrix(DensityMatrix(layout, mat), d_in)
-
-
-def channels_equal(a, b, tol: float = CHOI_EQUAL_TOL) -> bool:
-    """Entrywise comparison of Choi states (channels are equal iff these are)."""
-    if a.in_layout.total_dim != b.in_layout.total_dim:
-        raise LayoutError("channels have different input dimensions")
-    if a.out_layout.total_dim != b.out_layout.total_dim:
-        raise LayoutError("channels have different output dimensions")
-    return max_abs(choi(a).operator.entries - choi(b).operator.entries) <= tol
 
 
 class PptReport(NamedTuple):

@@ -210,10 +210,6 @@ class DensityMatrix:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix trace {tr!r} differs from 1 by more than {TRACE_TOL}")
 
-    @classmethod
-    def pure(cls, psi: PureState) -> "DensityMatrix":
-        return cls(psi.layout, psi.projector())
-
 
 def checked_effects(layout: RegisterLayout, entries, lead=(), what="measurement operator"):
     """``entries`` read-only, checked in one pass as a stack of shape lead + (D, D)
@@ -283,30 +279,6 @@ def basis_projectors(dim: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # operations on typed objects
-
-
-def tensor(a, b):
-    """Kronecker product; the result layout is the concatenation of both."""
-    pair = (type(a), type(b))
-    if pair == (PureState, PureState):
-        return PureState(a.layout.concat(b.layout), np.kron(a.amplitudes, b.amplitudes))
-    if pair == (DensityMatrix, DensityMatrix):
-        return DensityMatrix(a.layout.concat(b.layout), np.kron(a.entries, b.entries))
-    if pair == (MeasurementOperator, MeasurementOperator):
-        return MeasurementOperator(a.layout.concat(b.layout), np.kron(a.entries, b.entries))
-    raise ValidationError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Trace out every register not named in `keep` (order is preserved)."""
-    keep = list(keep)
-    if not keep:
-        raise LayoutError("must keep at least one register")
-    layout = rho.layout
-    kept = layout.subset(keep)
-    traced = [a for a, n in enumerate(layout.names) if n not in kept.names]
-    identity = np.eye(layout.total_dim // kept.total_dim)
-    return DensityMatrix(kept, measure_array(rho.entries, layout.dims, [identity], traced)[0])
 
 
 def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:

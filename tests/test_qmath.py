@@ -17,13 +17,13 @@ from qiplab.qmath import (
     dephase_axes,
     hermitian_eig,
     measure_array,
-    partial_trace,
     partial_transpose,
     prepare_array,
     reorder_array,
-    tensor,
 )
 from qiplab.random_instances import random_density, random_effect, random_povm, random_pure
+
+import reference
 
 QUBIT = RegisterLayout(("M",), (2,))
 PAIR = RegisterLayout(("A", "B"), (2, 2))
@@ -133,39 +133,12 @@ def test_povm_is_one_checked_read_only_stack():
             Povm(QUBIT, misshaped)
 
 
-def test_tensor_concatenates_layouts():
-    zero = PureState(RegisterLayout(("A",), (2,)), [1, 0])
-    one = PureState(RegisterLayout(("B",), (2,)), [0, 1])
-    both = tensor(zero, one)
-    assert both.layout.names == ("A", "B")
-    assert np.allclose(both.amplitudes, [0, 1, 0, 0])
-    with pytest.raises(LayoutError):
-        tensor(zero, zero)  # duplicate register name
-    with pytest.raises(ValidationError):
-        tensor(zero, DensityMatrix.pure(one))
-
-
 def test_partial_trace_of_bell_pair_is_maximally_mixed():
-    rho = DensityMatrix(PAIR, np.outer(BELL, BELL))
-    for side in ("A", "B"):
-        red = partial_trace(rho, [side])
-        assert red.layout.names == (side,)
-        assert np.allclose(red.entries, np.eye(2) / 2, atol=1e-12)
-    with pytest.raises(LayoutError):
-        partial_trace(rho, ["C"])
-
-
-def einsum_partial_trace(mat, dims, keep_axes):
-    """Reference: the trace over every axis outside `keep_axes`, as one einsum
-    of the row-and-column tensor; the kept axes stay in layout order."""
-    n = len(dims)
-    rows = [chr(ord("a") + a) for a in range(n)]
-    cols = [chr(ord("n") + a) if a in keep_axes else rows[a] for a in range(n)]
-    keep = sorted(keep_axes)
-    out = "".join(rows[a] for a in keep) + "".join(cols[a] for a in keep)
-    d = math.prod(dims[a] for a in keep)
-    reduced = np.einsum("".join(rows + cols) + "->" + out, mat.reshape(tuple(dims) * 2))
-    return reduced.reshape(d, d)
+    # the partial trace is the measurement of the identity
+    rho = np.outer(BELL, BELL)
+    for traced in ((0,), (1,)):
+        red = measure_array(rho, PAIR.dims, [np.eye(2)], traced)[0]
+        assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
 @given(
@@ -178,23 +151,23 @@ def einsum_partial_trace(mat, dims, keep_axes):
 @example(((2, 3, 2), (2, 0, 1)), 2, 0)
 def test_partial_trace_matches_an_einsum_on_random_layouts(case, n_keep, seed):
     dims, order = case
-    keep_axes = order[: min(n_keep, len(dims))]  # in any order
+    traced = order[min(n_keep, len(dims)) :]  # in any order
     layout = RegisterLayout(tuple("ABCD"[: len(dims)]), dims)
-    rho = random_density(np.random.default_rng(seed), layout)
-    reduced = partial_trace(rho, [layout.names[a] for a in keep_axes])
-    assert reduced.layout.names == tuple(layout.names[a] for a in sorted(keep_axes))
-    want = einsum_partial_trace(rho.entries, dims, keep_axes)
-    assert np.max(np.abs(reduced.entries - want)) < 1e-12
+    rho = random_density(np.random.default_rng(seed), layout).entries
+    d_t = math.prod(dims[a] for a in traced)
+    reduced = measure_array(rho, dims, [np.eye(d_t)], traced)[0]
+    want = reference.traced_out(rho, dims, traced)
+    assert np.max(np.abs(reduced - want)) < 1e-12
 
 
 def test_partial_trace_recovers_product_factors():
     for i in range(100):
         rng = np.random.default_rng(1000 + i)
-        a = random_density(rng, RegisterLayout(("A",), (2,)))
-        b = random_density(rng, RegisterLayout(("B",), (3,)))
-        joint = tensor(a, b)
-        assert np.max(np.abs(partial_trace(joint, ["A"]).entries - a.entries)) < 1e-12
-        assert np.max(np.abs(partial_trace(joint, ["B"]).entries - b.entries)) < 1e-12
+        a = random_density(rng, RegisterLayout(("A",), (2,))).entries
+        b = random_density(rng, RegisterLayout(("B",), (3,))).entries
+        joint = np.kron(a, b)
+        assert np.max(np.abs(measure_array(joint, (2, 3), [np.eye(3)], (1,))[0] - a)) < 1e-12
+        assert np.max(np.abs(measure_array(joint, (2, 3), [np.eye(2)], (0,))[0] - b)) < 1e-12
 
 
 def test_hermitian_eig_on_shifted_projector():
@@ -225,13 +198,13 @@ def test_hermitian_eig_rejects_non_hermitian():
 def test_born_probability_hand_value():
     # effect (|0><0| + |+><+|)/2 on |0>: 1/2 * (1 + 1/2) = 3/4
     effect = MeasurementOperator(QUBIT, (np.diag([1.0, 0.0]) + np.outer(KET_PLUS, KET_PLUS)) / 2)
-    rho = DensityMatrix.pure(PureState.basis(QUBIT, 0))
+    rho = DensityMatrix(QUBIT, PureState.basis(QUBIT, 0).projector())
     assert abs(born_probability(effect, rho) - 0.75) < 1e-12
 
 
 def test_born_probability_clamps_and_checks_layout():
     effect = MeasurementOperator(QUBIT, np.eye(2))
-    rho = DensityMatrix.pure(PureState.basis(QUBIT, 0))
+    rho = DensityMatrix(QUBIT, PureState.basis(QUBIT, 0).projector())
     assert born_probability(effect, rho) == 1.0
     other = DensityMatrix(RegisterLayout(("X",), (2,)), np.eye(2) / 2)
     with pytest.raises(LayoutError):
@@ -272,7 +245,7 @@ def test_partial_transpose_involution_and_product_safety():
         assert np.max(np.abs(twice - rho.entries)) < 1e-12
         a = random_density(rng, RegisterLayout(("A",), (2,)))
         b = random_density(rng, RegisterLayout(("B",), (2,)))
-        prod_pt = partial_transpose(tensor(a, b), "B")
+        prod_pt = partial_transpose(DensityMatrix(PAIR, np.kron(a.entries, b.entries)), "B")
         assert np.linalg.eigvalsh(prod_pt)[0] > -1e-12
 
 
@@ -311,33 +284,13 @@ def test_measure_and_prepare_reject_misshaped_inputs():
     dims = (2, 3, 2)
     # identity effects on (C, A) leave the partial trace on B
     blocks = measure_array(rho, dims, [np.eye(4)], (2, 0))
-    assert np.allclose(blocks[0], einsum_partial_trace(rho, dims, (1,)))
+    assert np.allclose(blocks[0], reference.traced_out(rho, dims, (0, 2)))
     with pytest.raises(LayoutError):
         measure_array(rho, dims, [np.eye(3)], (2, 0))
     with pytest.raises(LayoutError):
         prepare_array(blocks, dims, [np.ones(3)], (2, 0))
     with pytest.raises(LayoutError):
         prepare_array(blocks, dims, [np.ones(4), np.ones(4)], (2, 0))
-
-
-def embedded(op, dims, target_axes):
-    """Test-only op (x) I on `dims`, op's tensor factors on `target_axes` in
-    that order: the Kronecker product in (target, rest) order, its rows and
-    columns then moved back to layout order."""
-    order = list(target_axes) + [a for a in range(len(dims)) if a not in target_axes]
-    back = sorted(range(len(dims)), key=order.__getitem__)
-    d = math.prod(dims)
-    full = np.kron(op, np.eye(d // len(op))).reshape(tuple(dims[a] for a in order) * 2)
-    return full.transpose(back + [len(dims) + a for a in back]).reshape(d, d)
-
-
-def embedded_kraus_sum(rho, dims, kraus, target_axes):
-    """Reference: each operator embedded into the full space, two D x D products."""
-    out = np.zeros(rho.shape, dtype=np.complex128)
-    for k in kraus:
-        full = embedded(k, dims, target_axes)
-        out += full @ rho @ full.conj().T
-    return out
 
 
 @st.composite
@@ -376,7 +329,7 @@ def test_apply_kraus_array_matches_the_embedded_sum(case):
         rho = np.zeros((d, d), dtype=np.complex128)
         rho[unit[0] % d, unit[1] % d] = 1.0
     got = apply_kraus_array(rho, dims, kraus, target)
-    want = embedded_kraus_sum(rho, dims, kraus, target)
+    want = reference.applied(rho, dims, kraus, target)
     assert got.shape == (d, d)
     assert np.max(np.abs(got - want)) < 1e-12
 

@@ -22,9 +22,12 @@ parent commit, unpacked).  The fingerprint holds:
   instance or README command has; ``opening-family`` is the sha256 of its
   ``joint_response_operators`` effects, computed in this process.
 
-Two trees whose fingerprints are equal produce the same report bytes,
-documents and op values to the last bit.  The perfbench modules are only
-read.
+Two trees whose fingerprints, taken on the same host, are equal produce
+the same report bytes, documents and op values to the last bit on that
+host.  Bit identity holds per host and BLAS kernel, not across CPUs: the
+last digits of some values depend on which kernel OpenBLAS picks for the
+CPU, so compare fingerprints taken on one host only.  The perfbench
+modules are only read.
 """
 
 from __future__ import annotations
