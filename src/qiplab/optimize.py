@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,9 +49,10 @@ from .utils import checked_int, checked_seed, derived_rng
 
 ENUMERATION_BUDGET = 10**6
 NET_RESOLUTION_BUDGET = 10**5
-# Largest keep_dim * d_m the see-saw accepts: every iteration of every
-# restart diagonalizes a dense matrix of that size (about 40 ms at 256 and
-# 1.5 s at 1024 on a 2-core host, for up to max_iters * restarts iterations).
+# Largest d_M**2 the see-saw accepts, for a message of dimension d_M: every
+# iteration of every restart diagonalizes a dense matrix of side d_M**2 (about
+# 40 ms at 256 and 1.5 s at 1024 on a 2-core host, for up to
+# max_iters * restarts iterations), so d_M = 16 is the largest message.
 SEESAW_DIMENSION_BUDGET = 256
 # Largest see-saw restart count, subsampling trial count, and number of
 # challenges drawn over all trials (r * trials, one trial's draws being one
@@ -65,10 +66,6 @@ SUBSAMPLE_DRAW_BUDGET = 10**7
 # coefficients all fit a double (comb(1031, 515) is past 1.8e308).
 AMPLIFY_K_BUDGET = 1029
 ITERATE_MONOTONE_TOL = 1e-12
-# How far below zero a weight may be as rounding; it is then clipped to 0.
-WEIGHT_SIGN_TOL = 1e-12
-# How far weights may sum from 1: weights written as decimals miss it by ulps.
-WEIGHT_SUM_TOL = 1e-9
 # How far the net's solid angles may sum from one covering: 2N - 4 rounded terms.
 COVERING_COUNT_TOL = 1e-9
 RESPONSE_ALPHABET_CAP = 8
@@ -131,7 +128,6 @@ class ValueReport:
 
 
 class SubsampleReport(NamedTuple):
-    m: int
     r: int
     eps: float
     trials: int
@@ -146,25 +142,6 @@ class DecisionReport(NamedTuple):
     value: float
     threshold: float
     net_error: float
-
-
-def uniform_weights(fam: MeasurementFamily) -> dict[str, float]:
-    return {y: 1.0 / len(fam.challenges) for y in fam.challenges}
-
-
-def _weight_vector(fam: MeasurementFamily, weights: Mapping[str, float] | None) -> np.ndarray:
-    if weights is None:
-        weights = uniform_weights(fam)
-    if set(weights) != set(fam.challenges):
-        raise ValidationError("weights must cover exactly the challenge alphabet")
-    w = np.array([float(weights[y]) for y in fam.challenges])
-    if not np.all(np.isfinite(w)):
-        raise ValidationError(f"weights must be finite, got {w.tolist()!r}")
-    if np.any(w < -WEIGHT_SIGN_TOL):
-        raise ValidationError("weights must be nonnegative")
-    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(f"weights must sum to 1, got {w.sum()!r}")
-    return np.clip(w, 0.0, None)
 
 
 def _check_enumeration_budget(fam: MeasurementFamily):
@@ -234,18 +211,16 @@ def _exact_values(fam: MeasurementFamily, weights: np.ndarray):
     return values, tables, states
 
 
-def exact_classical_response_value(
-    fam: MeasurementFamily, weights: Mapping[str, float] | None = None
-) -> ValueReport:
-    """Exact optimum over response maps g and opening states.
+def exact_classical_response_value(fam: MeasurementFamily) -> ValueReport:
+    """Exact optimum over response maps g and opening states, y uniform.
 
     The state enters only through the challenge-averaged operator, so for
     each g the best opening is the top eigenvector of E_y M_{y,g(y)} and the
-    search over g is exhaustive (weights default to uniform).
+    search over g is exhaustive.
     """
     _check_enumeration_budget(fam)
-    w = _weight_vector(fam, weights)
-    values, tables, states = _exact_values(fam, w[None, :])
+    n_y = len(fam.challenges)
+    values, tables, states = _exact_values(fam, np.full((1, n_y), 1.0 / n_y))
     witness = {
         "responses": {y: fam.responses[z] for y, z in zip(fam.challenges, tables[0])},
         "state": PureState(fam.layout, states[0]),
@@ -297,7 +272,7 @@ def _measurement_step(povms: np.ndarray, steering: np.ndarray) -> np.ndarray:
     return povms
 
 
-def _seesaw_lockstep(fam_arr, w, dim_keep, cfg, restarts: range):
+def _seesaw_lockstep(fam_arr, cfg, restarts: range):
     """Run the given restarts side by side until each one stops.
 
     Every iteration updates the POVMs and the shared state of all running
@@ -306,7 +281,8 @@ def _seesaw_lockstep(fam_arr, w, dim_keep, cfg, restarts: range):
     final state and POVMs.
     """
     n_y, n_z, d_m, _ = fam_arr.shape
-    dim = dim_keep * d_m
+    dim = d_m * d_m
+    w = np.full(n_y, 1.0 / n_y)
     starts = []
     for restart in restarts:
         rng = derived_rng(cfg.seed, "seesaw", restart)
@@ -314,15 +290,15 @@ def _seesaw_lockstep(fam_arr, w, dim_keep, cfg, restarts: range):
         starts.append(raw / np.linalg.norm(raw))
     psi = np.stack(starts)
     povms = np.broadcast_to(
-        np.eye(dim_keep, dtype=np.complex128) / n_z,
-        (len(restarts), n_y, n_z, dim_keep, dim_keep),
+        np.eye(d_m, dtype=np.complex128) / n_z,
+        (len(restarts), n_y, n_z, d_m, d_m),
     )
     running = np.arange(len(restarts))
     traces: list[list[float]] = [[] for _ in restarts]
     finals: list = [None] * len(restarts)
     previous = None
     for iteration in range(cfg.max_iters):
-        window = psi.reshape(-1, 1, 1, dim_keep, d_m)
+        window = psi.reshape(-1, 1, 1, d_m, d_m)
         steering = (window @ fam_arr.swapaxes(-1, -2)) @ dagger(window)
         povms = _measurement_step(povms, steering)
         averaged = np.zeros((len(running), dim, dim), dtype=np.complex128)
@@ -350,15 +326,15 @@ def _seesaw_lockstep(fam_arr, w, dim_keep, cfg, restarts: range):
 
 
 def seesaw_entangled_value(
-    fam: MeasurementFamily,
-    weights: Mapping[str, float] | None = None,
-    config: OptimizerConfig | None = None,
-    keep_dim: int | None = None,
+    fam: MeasurementFamily, config: OptimizerConfig | None = None
 ) -> ValueReport:
-    """Lower bound on the entangled-prover value by alternating maximization.
+    """Lower bound on the entangled-prover value by alternating maximization,
+    y uniform.
 
-    The prover keeps a register of dimension keep_dim (defaults to M's) and
-    answers challenge y by measuring a POVM on it.  Fixing the POVMs, the
+    The prover keeps a register of M's dimension d_M and answers challenge y
+    by measuring a POVM on it.  A larger register gains nothing: the state
+    it shares with M has Schmidt rank at most d_M, so its support on the
+    prover's side fits a d_M-dimensional subspace.  Fixing the POVMs, the
     best shared state is the top eigenvector of the averaged operator;
     fixing the state, each challenge's POVM is reoptimized coordinate-wise.
     Both steps are monotone, so each restart's trace is non-decreasing.
@@ -373,23 +349,17 @@ def seesaw_entangled_value(
         raise BudgetError(
             f"{cfg.restarts} restarts exceed the see-saw restart budget {SEESAW_RESTART_BUDGET}"
         )
-    w = _weight_vector(fam, weights)
     n_y, n_z, d_m, _ = fam.effects.shape
-    dim_keep = d_m if keep_dim is None else checked_int(keep_dim, "keep_dim")
-    if dim_keep < 1:
-        raise ValidationError(f"keep_dim must be >= 1, got {keep_dim}")
-    if dim_keep * d_m > SEESAW_DIMENSION_BUDGET:
+    if d_m * d_m > SEESAW_DIMENSION_BUDGET:
         raise BudgetError(
-            f"keep_dim {dim_keep} times message dimension {d_m} exceeds "
-            f"the see-saw budget {SEESAW_DIMENSION_BUDGET}"
+            f"message dimension {d_m} squared exceeds the see-saw budget "
+            f"{SEESAW_DIMENSION_BUDGET}"
         )
-    per_restart = max((dim_keep * d_m) ** 2, n_y * n_z * dim_keep * max(dim_keep, d_m))
+    per_restart = max(d_m**4, n_y * n_z * d_m**2)
     traces: list[list[float]] = []
     finals: list = []
     for chunk in _chunks(cfg.restarts, per_restart):
-        chunk_traces, chunk_finals = _seesaw_lockstep(
-            fam.effects, w, dim_keep, cfg, range(cfg.restarts)[chunk]
-        )
+        chunk_traces, chunk_finals = _seesaw_lockstep(fam.effects, cfg, range(cfg.restarts)[chunk])
         traces += chunk_traces
         finals += chunk_finals
     best = max(range(cfg.restarts), key=lambda r: traces[r][-1])
@@ -792,7 +762,7 @@ def subsampling_experiment(
     _check_enumeration_budget(fam)
     n_y = len(fam.challenges)
     weights = np.empty((trials + 1, n_y))
-    weights[0] = _weight_vector(fam, None)
+    weights[0] = 1.0 / n_y
     for trial in range(trials):
         rng = derived_rng(seed, "subsample", r, trial)
         draws = rng.integers(0, n_y, size=r)
@@ -802,7 +772,6 @@ def subsampling_experiment(
     deviations = tuple(abs(lhs - rhs) for rhs in rhs_values)
     failures = sum(1 for d in deviations if d > eps)
     return SubsampleReport(
-        m=len(fam.challenges[0]),
         r=r,
         eps=eps,
         trials=trials,

@@ -281,14 +281,14 @@ def basis_projectors(dim: int) -> np.ndarray:
 # operations on typed objects
 
 
-def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenvalues and matching orthonormal eigenvectors.
 
-    Accepts a DensityMatrix, MeasurementOperator, plain square array, or a
-    stack of square arrays of shape (..., d, d), each decomposed on its own.
-    Column k of each returned matrix is the eigenvector for eigenvalue k.
+    Accepts a square array, or a stack of square arrays of shape (..., d, d),
+    each decomposed on its own.  Column k of each returned matrix is the
+    eigenvector for eigenvalue k.
     """
-    mat = np.asarray(op.entries if hasattr(op, "entries") else op, dtype=np.complex128)
+    mat = np.asarray(op, dtype=np.complex128)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
     defect = hermiticity_defect(mat)

@@ -35,7 +35,6 @@ from qiplab.random_instances import (
     random_povm,
     random_pure,
     random_separable_choi_terms,
-    random_unit_vector,
 )
 from qiplab.utils import derived_rng
 

@@ -19,7 +19,6 @@ import qiplab
 from qiplab import (
     CanonicalStrategy,
     ClassicalResponseStrategy,
-    EbChannel,
     EntangledStrategy,
     KrausChannel,
     acceptance_probability,

@@ -34,7 +34,6 @@ from qiplab.optimize import (
     nexp_decide,
     seesaw_entangled_value,
     subsampling_experiment,
-    uniform_weights,
 )
 from qiplab.protocol import MeasurementFamily, joint_response_operators
 from qiplab.random_instances import (
@@ -56,7 +55,7 @@ def diag_family(table: dict[tuple[str, str], tuple[float, float]]) -> Measuremen
 
 def test_chsh_exact_classical_value():
     _, family = chsh_protocol()
-    report = exact_classical_response_value(family, uniform_weights(family))
+    report = exact_classical_response_value(family)
     assert report.value == pytest.approx(0.75, abs=1e-9)
     assert report.method == "exhaustive"
     # ties break toward the first enumerated table, the all-zeros one
@@ -95,22 +94,10 @@ def test_enumeration_budget_is_enforced():
         exact_classical_response_value(fam)
 
 
-def test_weight_validation():
-    _, family = chsh_protocol()
-    with pytest.raises(ValidationError):
-        exact_classical_response_value(family, {"0": 1.0})
-    with pytest.raises(ValidationError):
-        exact_classical_response_value(family, {"0": 1.5, "1": -0.5})
-    with pytest.raises(ValidationError):
-        exact_classical_response_value(family, {"0": 0.9, "1": 0.9})
-    with pytest.raises(ValidationError):
-        exact_classical_response_value(family, {"0": float("nan"), "1": 1.0})
-
-
 def test_seesaw_reaches_the_chsh_entangled_optimum():
     _, family = chsh_protocol()
     cfg = OptimizerConfig(restarts=16, seed=11)
-    report = seesaw_entangled_value(family, uniform_weights(family), cfg)
+    report = seesaw_entangled_value(family, cfg)
     assert report.value >= TSIRELSON - 1e-4
     assert report.value <= TSIRELSON + 1e-6
     assert report.method == "seesaw"
@@ -163,10 +150,15 @@ def test_seesaw_rejects_oversized_response_alphabets():
 
 
 def test_seesaw_dimension_budget_is_checked_before_the_restarts(monkeypatch):
-    _, fam = chsh_protocol()  # message dimension 2
+    def half_family(d_m):
+        layout = RegisterLayout(("M",), (d_m,))
+        halves = np.broadcast_to(np.eye(d_m) / 2, (1, 2, d_m, d_m))
+        return MeasurementFamily(("0",), ("0", "1"), layout, halves)
+
+    limit = math.isqrt(SEESAW_DIMENSION_BUDGET)
+    assert limit == 16
     cfg = OptimizerConfig(restarts=1, max_iters=1)
-    limit = SEESAW_DIMENSION_BUDGET // 2
-    assert 0 <= seesaw_entangled_value(fam, config=cfg, keep_dim=limit).value <= 1
+    assert seesaw_entangled_value(half_family(limit), config=cfg).value == pytest.approx(0.5)
 
     def no_draw(*args):
         raise AssertionError("a see-saw restart drew its start state")
@@ -174,9 +166,9 @@ def test_seesaw_dimension_budget_is_checked_before_the_restarts(monkeypatch):
     # every restart starts by drawing from its own stream
     monkeypatch.setattr(optimize, "derived_rng", no_draw)
     with pytest.raises(BudgetError, match="see-saw budget"):
-        seesaw_entangled_value(fam, config=cfg, keep_dim=limit + 1)
+        seesaw_entangled_value(half_family(limit + 1), config=cfg)
     with pytest.raises(AssertionError, match="drew its start state"):
-        seesaw_entangled_value(fam, config=cfg, keep_dim=limit)
+        seesaw_entangled_value(half_family(limit), config=cfg)
 
 
 def test_restart_and_subsampling_budgets_are_checked_before_the_first_draw(monkeypatch):
@@ -634,7 +626,7 @@ def test_brute_force_stays_within_net_error_of_the_exact_solver():
     for trial in range(20):
         rng = derived_rng(77, "net-oracle", trial)
         spec, fam = random_public_coin_spec(rng)
-        exact = exact_classical_response_value(fam, uniform_weights(fam)).value
+        exact = exact_classical_response_value(fam).value
         report = brute_force_unentangled_value(spec, OptimizerConfig(net_resolution=800))
         assert report.value <= exact + 1e-9
         assert report.value >= exact - report.net_error - 1e-9
@@ -699,13 +691,13 @@ def test_subsampling_single_draw_deviation_is_pinned():
     for deviation in report.deviations:
         assert deviation == pytest.approx(expected, abs=1e-9)
     assert report.failure_fraction == 1.0
-    assert report.m == 1 and report.r == 1 and report.trials == 20
+    assert report.r == 1 and report.trials == 20
 
 
 def test_balanced_empirical_weights_reproduce_the_uniform_value():
     _, family = chsh_protocol()
     lhs = exact_classical_response_value(family).value
-    balanced = exact_classical_response_value(family, {"0": 0.5, "1": 0.5}).value
+    balanced = optimize._exact_values(family, np.array([[0.5, 0.5]]))[0][0]
     assert balanced == pytest.approx(lhs, abs=0.0)
 
 

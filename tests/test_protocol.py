@@ -1093,10 +1093,6 @@ def test_ragged_stacks_are_layout_errors():
 def test_response_dephasing_is_invisible_to_basis_diagonal_flags():
     # when the flag is diagonal on M, declaring the response classical
     # cannot change the outcome
-    import dataclasses
-
-    from qiplab.random_instances import random_effect, random_eb_channel, random_pure
-
     for trial in range(10):
         rng = derived_rng(61, "dephase", trial)
         m_layout = RegisterLayout(("M",), (2,))
@@ -1125,8 +1121,6 @@ def test_response_dephasing_is_invisible_to_basis_diagonal_flags():
 
 
 def test_public_coin_pipeline_equals_the_explicit_coin_mixture():
-    from qiplab.random_instances import random_classical_response, random_public_coin_spec
-
     for trial in range(10):
         rng = derived_rng(62, "coin-mix", trial)
         spec, family = random_public_coin_spec(rng)
@@ -1153,8 +1147,6 @@ def test_always_accept_verifier_accepts_any_prover():
         accept=MeasurementOperator.identity(joint),
         classical_rounds=frozenset({2, 3}),
     )
-    from qiplab.random_instances import random_classical_response, random_raw_prover
-
     assert acceptance_probability(spec, random_classical_response(rng, spec)) == pytest.approx(1.0, abs=1e-12)
     assert acceptance_probability(spec, random_raw_prover(rng, spec)) == pytest.approx(1.0, abs=1e-12)
     assert acceptance_probability(spec, bell_chsh_prover()) == pytest.approx(1.0, abs=1e-12)

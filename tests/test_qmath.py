@@ -21,7 +21,7 @@ from qiplab.qmath import (
     prepare_array,
     reorder_array,
 )
-from qiplab.random_instances import random_density, random_effect, random_povm, random_pure
+from qiplab.random_instances import random_density, random_povm
 
 import reference
 

@@ -23,7 +23,7 @@ from qiplab.optimize import (
     seesaw_entangled_value,
     subsampling_experiment,
 )
-from qiplab.protocol import MeasurementFamily
+from qiplab.protocol import MeasurementFamily, checked_probability
 from qiplab.qmath import dagger
 from qiplab.random_instances import random_measurement_family
 from qiplab.utils import derived_rng
@@ -66,25 +66,26 @@ def _reference_measurement_step(povms, steering):
     return povms
 
 
-def reference_seesaw_restart(fam_arr, w, dim_keep, cfg, restart):
+def reference_seesaw_restart(fam_arr, cfg, restart):
     """One restart alone: (final value, trace, state, POVMs per challenge)."""
     n_y, n_z, d_m, _ = fam_arr.shape
+    w = np.full(n_y, 1.0 / n_y)
     rng = derived_rng(cfg.seed, "seesaw", restart)
-    raw = rng.normal(size=dim_keep * d_m) + 1j * rng.normal(size=dim_keep * d_m)
+    raw = rng.normal(size=d_m * d_m) + 1j * rng.normal(size=d_m * d_m)
     psi = raw / np.linalg.norm(raw)
     povms = None
     iterates = []
     for _ in range(cfg.max_iters):
-        window = psi.reshape(dim_keep, d_m)
+        window = psi.reshape(d_m, d_m)
         new_povms = []
         for i in range(n_y):
             steering = [window @ fam_arr[i, j].T @ dagger(window) for j in range(n_z)]
             current = povms[i] if povms is not None else [
-                np.eye(dim_keep, dtype=np.complex128) / n_z for _ in range(n_z)
+                np.eye(d_m, dtype=np.complex128) / n_z for _ in range(n_z)
             ]
             new_povms.append(_reference_measurement_step(current, steering))
         povms = new_povms
-        stacked = np.zeros((dim_keep * d_m,) * 2, dtype=np.complex128)
+        stacked = np.zeros((d_m * d_m,) * 2, dtype=np.complex128)
         for i in range(n_y):
             for j in range(n_z):
                 stacked += w[i] * np.kron(povms[i][j], fam_arr[i, j])
@@ -149,22 +150,17 @@ def families(draw, max_challenges):
 @settings(max_examples=40)
 @given(
     fam=families(max_challenges=3),
-    keep_dim=st.integers(1, 4),
     restarts=st.integers(1, 6),
     max_iters=st.sampled_from([1, 2, 3, 12]),
     tol=st.sampled_from([1e-9, 1e-4]),
     seed=st.integers(0, 2**16),
     chunk=CHUNK_SIZES,
 )
-def test_lockstep_seesaw_equals_one_restart_at_a_time(
-    fam, keep_dim, restarts, max_iters, tol, seed, chunk
-):
+def test_lockstep_seesaw_equals_one_restart_at_a_time(fam, restarts, max_iters, tol, seed, chunk):
     cfg = OptimizerConfig(restarts=restarts, max_iters=max_iters, convergence_tol=tol, seed=seed)
     with mock.patch.object(optimize, "STACK_ELEMENTS", chunk):
-        report = seesaw_entangled_value(fam, config=cfg, keep_dim=keep_dim)
-    fam_arr = fam.effects
-    w = optimize._weight_vector(fam, None)
-    runs = [reference_seesaw_restart(fam_arr, w, keep_dim, cfg, r) for r in range(restarts)]
+        report = seesaw_entangled_value(fam, config=cfg)
+    runs = [reference_seesaw_restart(fam.effects, cfg, r) for r in range(restarts)]
     best = max(range(restarts), key=lambda r: runs[r][0])
     value, _, psi, povms = runs[best]
     assert report.value == value
@@ -184,9 +180,7 @@ def test_restarts_that_stop_at_different_iterations_share_one_stack():
         cfg = OptimizerConfig(restarts=8, seed=1)
         report = seesaw_entangled_value(fam, config=cfg)
         assert len({len(run) for run in report.iterates}) > 2
-        fam_arr = fam.effects
-        w = optimize._weight_vector(fam, None)
-        runs = [reference_seesaw_restart(fam_arr, w, 2, cfg, r) for r in range(8)]
+        runs = [reference_seesaw_restart(fam.effects, cfg, r) for r in range(8)]
         assert report.iterates == tuple(run[1] for run in runs)
         assert all(run[-1] - run[-2] < cfg.convergence_tol for run in report.iterates)
 
@@ -216,7 +210,7 @@ def test_response_tables_run_in_product_order(n_y, n_z, chunk):
 def test_stacked_subsampling_equals_one_trial_at_a_time(fam, r, trials, seed, chunk):
     with mock.patch.object(optimize, "STACK_ELEMENTS", chunk):
         report = subsampling_experiment(fam, r, 0.1, trials, seed)
-    uniform = optimize._weight_vector(fam, None)
+    uniform = np.full(len(fam.challenges), 1.0 / len(fam.challenges))
     assert report.lhs_value == reference_exact(fam, uniform)[0]
     assert report.rhs_values == reference_subsample_rhs(fam, r, trials, seed)
 
@@ -229,11 +223,16 @@ def test_stacked_subsampling_equals_one_trial_at_a_time(fam, r, trials, seed, ch
 )
 def test_stacked_exhaustive_search_equals_the_reference(fam, raw, chunk):
     raw = np.array(raw[: len(fam.challenges)]) + 1e-3
-    weights = dict(zip(fam.challenges, (raw / raw.sum()).tolist()))
-    w = optimize._weight_vector(fam, weights)
+    w = raw / raw.sum()
     with mock.patch.object(optimize, "STACK_ELEMENTS", chunk):
-        report = exact_classical_response_value(fam, weights)
+        values, tables, states = optimize._exact_values(fam, w[None, :])
+        report = exact_classical_response_value(fam)
     value, table, state = reference_exact(fam, w)
+    # the report's clamp into [0, 1], which the reference applies too
+    assert checked_probability(float(values[0])) == value
+    assert tuple(tables[0].tolist()) == table
+    assert np.array_equal(states[0], state)
+    value, table, state = reference_exact(fam, np.full(len(w), 1.0 / len(w)))
     assert report.value == value
     assert report.witness["responses"] == {
         y: fam.responses[z] for y, z in zip(fam.challenges, table)

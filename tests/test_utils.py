@@ -5,11 +5,7 @@ import pytest
 
 from qiplab import cli, optimize
 from qiplab.errors import LayoutError, ValidationError
-from qiplab.optimize import (
-    OptimizerConfig,
-    seesaw_entangled_value,
-    subsampling_experiment,
-)
+from qiplab.optimize import OptimizerConfig, subsampling_experiment
 from qiplab.protocol import chsh_protocol
 from qiplab.qmath import PureState, RegisterLayout
 from qiplab.utils import _path_word, _uint32_words, checked_seed, derived_rng
@@ -95,13 +91,12 @@ def test_shipped_stream_paths_never_share_their_entropy_words():
         (lambda: OptimizerConfig(restarts=2.5), ValidationError),
         (lambda: OptimizerConfig(max_iters=10.0), ValidationError),
         (lambda: OptimizerConfig(seed=1.0), ValidationError),
-        (lambda: seesaw_entangled_value(chsh_protocol()[1], keep_dim=2.5), ValidationError),
         (lambda: subsampling_experiment(chsh_protocol()[1], 4, 0.1, 2.5, 0), ValidationError),
         (lambda: subsampling_experiment(chsh_protocol()[1], 4.5, 0.1, 3, 0), ValidationError),
     ],
     ids=[
         "layout-float", "layout-string", "layout-bool", "basis-index", "seed-float", "seed-bool",
-        "path-part", "net-resolution", "restarts", "max-iters", "config-seed", "keep-dim",
+        "path-part", "net-resolution", "restarts", "max-iters", "config-seed",
         "subsample-trials", "subsample-r",
     ],
 )
