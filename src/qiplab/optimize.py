@@ -74,12 +74,12 @@ RESPONSE_ALPHABET_CAP = 8
 # cut into chunks, so memory does not grow with maps, trials or restarts.
 STACK_ELEMENTS = 2**20
 # Rows the covering bound takes at once: candidate triangles and their
-# lattice determinants in _fibonacci_triangles, triangles and paired edges in
-# _certify_delaunay.  Each of a block's few dozen float64 temporaries is then
-# 16 KB, so the blocks reuse the same heap memory call after call instead of
-# faulting in fresh pages for net-sized temporaries.  Of 2**10 to 2**13, this
-# size made as few page faults as any and took the least CPU per call at
-# N = 5000 on a 2-core host.
+# lattice determinants in _fibonacci_triangles, triangles in _certify_tiling.
+# Each of a block's few dozen float64 temporaries is then 16 KB, so the blocks
+# reuse the same heap memory call after call instead of faulting in fresh
+# pages for net-sized temporaries.  Of 2**10 to 2**13, this size made as few
+# page faults as any and took the least CPU per call at N = 5000 on a 2-core
+# host.
 NET_BLOCK_ELEMENTS = 2**11
 
 
@@ -392,12 +392,6 @@ def _net_states(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(half), np.exp(1j * phi) * np.sin(half)], axis=1)
 
 
-def fibonacci_sphere_states(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n spread points on the Bloch sphere and the matching qubit states."""
-    points, z, phi = _fibonacci_net(n)
-    return points, _net_states(z, phi)
-
-
 # Window of k - p in which the net's Delaunay triangles (i, i+F_{k-1}, i+F_{k+1})
 # and (i, i+F_k, i+F_{k+1}) lie, where p = log_phi(sqrt(5)·pi·N·(1 - z²)) / 2 is
 # the zone number at the z of index i + F_{k+1}/2 (Keinert et al., "Spherical
@@ -415,8 +409,9 @@ def _quad_orientation(x, y, z, q0, q1, q2, q3):
 
     For four points on the sphere its sign says on which side of the plane
     of (p0, p1, p2) the point p3 lies, that is whether p3 is inside their
-    circumcircle.  Callers pass the indices in increasing order, so every
-    test of one quadruple reads the same rounded number.
+    circumcircle.  Its only caller, _fibonacci_triangles, passes the indices
+    in increasing order, so both tests of one parallelogram read the same
+    rounded number.
     """
     x0, y0, z0 = x[q0], y[q0], z[q0]
     ux, uy, uz = x[q1] - x0, y[q1] - y0, z[q1] - z0
@@ -456,8 +451,10 @@ def _fibonacci_triangles(n: int) -> np.ndarray:
     over its sorted corners, and on an exact tie the long diagonal wins.  The
     third edge's reflection decided no triangle at any N of the sweep that
     set the zone window, so it is not tested here.  Rows come out positively
-    oriented, lowest index first.  Nothing here is trusted: the certificate
-    in net_covering_error tests every edge.
+    oriented, lowest index first.  Nothing here is trusted for validity:
+    net_covering_error certifies that the rows tile the sphere, and a wrong
+    diagonal gives a valid but looser bound, which the tests against the
+    convex hull catch.
     """
     points, _, _ = _fibonacci_net(n)
     x, y, z = (np.ascontiguousarray(col) for col in points.T)
@@ -524,10 +521,10 @@ def _fibonacci_triangles(n: int) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _certify_delaunay(x, y, z, triangles: np.ndarray) -> float:
-    """Check that ``triangles`` are the Delaunay triangles of the points
-    (x, y, z) on the unit sphere, and return the cosine of the covering
-    angle: the least, over triangles, of the greatest cosine between the
+def _certify_tiling(x, y, z, triangles: np.ndarray) -> float:
+    """Check that ``triangles`` tile the unit sphere once, with the points
+    (x, y, z) as their corners, and return the cosine of the covering angle
+    bound: the least, over triangles, of the greatest cosine between the
     triangle's unit normal (b - a) x (c - a) and its corners.
 
     Each failed check raises NumericsError:
@@ -536,28 +533,22 @@ def _certify_delaunay(x, y, z, triangles: np.ndarray) -> float:
     2. every triangle's plane has the centre strictly inside: n·a > 0 for the
        normal n = (b - a) x (c - a), so n·a = det(a, b, c);
     3. every directed edge appears once, and its reverse appears once;
-    4. the triangles' solid angles add up to 4·pi;
-    5. across every edge the opposite vertex is not above the triangle's plane.
+    4. the triangles' solid angles add up to 4·pi.
 
-    Why they suffice: by 2 each triangle projects from the centre onto a
-    positively oriented spherical triangle, and by 3 the triangles close up
+    Why they prove a tiling: by 2 each triangle projects from the centre onto
+    a positively oriented spherical triangle, and by 3 the triangles close up
     into an oriented surface, so their solid angles add up to 4·pi times the
     number of times the projection covers the sphere.  By 4 it covers the
     sphere once: the triangles tile it, and by 1 their corners are all N
     points (2N - 4 is Euler's count).  Without 4, two triangulations of
-    interleaved subsets could pass 1, 2, 3 and 5 together.  By 5 every edge
-    is locally Delaunay, and a triangulation of the sphere that is locally
-    Delaunay at every edge is the Delaunay triangulation: every point is on
-    or below each triangle's plane, so the triangles are the convex hull's
-    facets.  Check 5 takes the in-circle determinant over the four corners
-    in index order, as _fibonacci_triangles does, so the two triangles of an
-    edge read the same rounded number.
+    interleaved subsets could pass 1, 2 and 3 together.  Check 3 is two sorts
+    over the whole net: the directed edges a·N + b, which must be distinct,
+    and the reversed ones b·N + a, which must be the same keys.  A degenerate
+    edge (a, a) is its own reverse, but its triangle fails check 2 first.
 
-    Every check but 1 and 3 is local to a triangle or an edge: checks 2 and 4
-    and the cosines run over blocks of NET_BLOCK_ELEMENTS triangles, each
-    block gathering its corners once, and check 5 over blocks of as many
-    paired edges.  Check 3 is the one sort over the whole net.  The checks
-    fail in the order listed.
+    Checks 2 and 4 and the cosines run over blocks of NET_BLOCK_ELEMENTS
+    triangles, each block gathering its corners once.  The checks fail in the
+    order listed.
     """
     n, count = len(x), len(triangles)
     if count != 2 * n - 4 or np.bincount(triangles.ravel(), minlength=n).min() == 0:
@@ -582,75 +573,53 @@ def _certify_delaunay(x, y, z, triangles: np.ndarray) -> float:
         nx, ny, nz = nx / norm, ny / norm, nz / norm
         facet_cos = np.max([nx * cx + ny * cy + nz * cz for cx, cy, cz in corners], axis=0)
         covering_cos = min(covering_cos, float(facet_cos.min()))
-    # directed edge 3t + j runs from corner j of triangle t to corner j + 1.
-    # Each undirected edge must come out of the sort exactly twice, once in
-    # each direction; the partner's third corner is the opposite vertex.
-    key = np.empty((count, 3), dtype=np.int64)
-    forward = np.empty((count, 3), dtype=bool)
-    for j in range(3):
-        head, tail = triangles[:, j], triangles[:, (j + 1) % 3]
-        np.minimum(head, tail, out=key[:, j])
-        key[:, j] *= n
-        key[:, j] += np.maximum(head, tail)
-        np.less(head, tail, out=forward[:, j])
-    # stable, so each pair comes out lower edge first; which directed edge of
-    # a pair is first changes neither check 3 nor check 5's sorted corners
-    order = np.argsort(key.ravel(), kind="stable")
-    key = key.ravel()[order]
-    forward = forward.ravel()
-    first, second = order[0::2], order[1::2]
-    if not (
-        np.array_equal(key[0::2], key[1::2])
-        and np.all(key[2::2] > key[1:-1:2])
-        and np.all(forward[first] != forward[second])
-    ):
+    # directed edge 3t + j runs from corner j of triangle t to corner j + 1
+    head, tail = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
+    edges, reverse = head * n + tail, tail * n + head
+    edges.sort()
+    reverse.sort()
+    if not (np.all(edges[1:] > edges[:-1]) and np.array_equal(edges, reverse)):
         raise NumericsError("net triangles do not pair every directed edge with its reverse")
-    del key, forward  # check 5 reads only first and second
     coverings = solid_angle / (4 * np.pi)
     if abs(coverings - 1.0) > COVERING_COUNT_TOL:
         raise NumericsError(f"net triangles cover the sphere {coverings:.6g} times, not once")
-    flat = triangles.ravel()
-    for edge, partner in zip(_blocks(first), _blocks(second)):
-        base = edge - edge % 3
-        # sort each edge's four corners with a sorting network, tracking parity
-        q = [
-            flat[edge],
-            flat[base + (edge + 1) % 3],
-            flat[base + (edge + 2) % 3],
-            flat[partner - partner % 3 + (partner + 2) % 3],
-        ]
-        odd = np.zeros(len(edge), dtype=bool)
-        for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
-            odd ^= q[i] > q[j]
-            q[i], q[j] = np.minimum(q[i], q[j]), np.maximum(q[i], q[j])
-        height = _quad_orientation(x, y, z, *q)
-        if np.any(np.where(odd, -height, height) > 0):
-            raise NumericsError("a net triangle's circumcircle holds its neighbour across an edge")
     return covering_cos
 
 
 def net_covering_error(points: np.ndarray) -> float:
-    """sin(alpha/2) for the net's covering angle alpha, the worst-case drop
-    of <psi|A|psi> (0 <= A <= I) between any state and its nearest net point.
+    """sin(alpha/2) for an upper bound alpha on the net's covering angle, the
+    worst-case drop of <psi|A|psi> (0 <= A <= I) between any state and its
+    nearest net point.
 
-    The covering angle is attained at a spherical Voronoi vertex, the
-    circumcentre of a spherical Delaunay triangle, whose nearest net points
-    are the triangle's own corners.  The triangles come from the index
-    offsets of the Fibonacci net of len(points) points, and
-    _certify_delaunay proves them the Delaunay triangles of ``points`` or
-    raises NumericsError; points that are not that net fail it unless their
-    triangulation is the net's.  Where four or more points are cocircular,
-    every split of their polygon has the same circumcircle, so the bound
-    does not depend on the split.  It takes O(N log N) time, for the one
-    sort that pairs the net's 6N - 12 directed edges.  Past the O(N) arrays
-    of the net, its triangles and that sort, the triangle builder and the
-    certificate work in blocks of NET_BLOCK_ELEMENTS rows, so their other
-    temporaries do not grow with N.
+    alpha is the largest angular circumradius over the triangles, which
+    _certify_tiling proves tile the sphere, and it bounds the covering angle
+    of any such tiling.  A point p of the sphere lies in some triangle T.
+    T's corners lie on a circle of angular radius R < pi/2 about its
+    circumcentre, since the centre lies strictly on the far side of T's
+    plane.  Within T the distance to the nearest corner peaks at a corner of
+    the corners' Voronoi cells cut to T: the circumcentre, at R, if it lies
+    in T, or else a point of an edge, at most half that edge from one of its
+    ends; an edge is a chord of the circle, so that too is at most R.  For
+    the Delaunay tiling the bound is the covering angle itself: its
+    circumcentres are the spherical Voronoi vertices, whose nearest net
+    points are the triangle's own corners (Aurenhammer, ACM Comput. Surv.
+    1991).  Where four or more points are cocircular, every
+    split of their polygon has the same circumcircle, so the bound does not
+    depend on the split.
+
+    The triangles come from the index offsets of the Fibonacci net of
+    len(points) points, which are its Delaunay triangles.  Other points get
+    NumericsError unless those triangles tile them, and a valid, looser bound
+    where they tile them but are not Delaunay.  It takes O(N log N) time, for
+    the two sorts that pair the net's 6N - 12 directed edges.  Past the O(N)
+    arrays of the net, its triangles and those sorts, the triangle builder
+    and the certificate work in blocks of NET_BLOCK_ELEMENTS rows, so their
+    other temporaries do not grow with N.
     """
     x, y, z = (np.ascontiguousarray(col, dtype=float) for col in np.asarray(points).T)
     if len(x) < 4:
         raise NumericsError(f"{len(x)} net points span no triangulation")
-    covering_cos = _certify_delaunay(x, y, z, _fibonacci_triangles(len(x)))
+    covering_cos = _certify_tiling(x, y, z, _fibonacci_triangles(len(x)))
     alpha = float(np.arccos(np.clip(covering_cos, -1.0, 1.0)))
     return math.sin(alpha / 2)
 
@@ -698,7 +667,7 @@ def brute_force_unentangled_value(
     g_idx, s_idx = np.unravel_index(np.argmax(values), values.shape)
     witness = {
         "responses": {y: fam.responses[z] for y, z in zip(fam.challenges, tables[g_idx])},
-        # the witness alone: its state row is the one fibonacci_sphere_states makes
+        # the witness alone: _net_states works row by row, so this is its row of the net
         "state": _net_states(z[s_idx : s_idx + 1], phi[s_idx : s_idx + 1])[0],
     }
     return ValueReport(
