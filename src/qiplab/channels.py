@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, DecompositionError, LayoutError, ValidationError
+from .errors import BudgetError, DecompositionError, LayoutError, ValidationError, within
 from .qmath import (
     COMPLETENESS_TOL,
     DensityMatrix,
@@ -64,10 +64,7 @@ class KrausChannel:
         object.__setattr__(self, "kraus_ops", ops)
         total = sum(dagger(k) @ k for k in ops)
         defect = max_abs(total - np.eye(self.in_layout.total_dim))
-        if defect > TRACE_PRESERVING_TOL:
-            raise ValidationError(
-                f"trace preservation defect {defect:.3e} > {TRACE_PRESERVING_TOL}"
-            )
+        within(defect, TRACE_PRESERVING_TOL, ValidationError, "channel is not trace preserving")
 
     @classmethod
     def identity(cls, layout: RegisterLayout) -> "KrausChannel":
@@ -162,10 +159,7 @@ class ChoiMatrix:
             )
         reduced = measure_array(self.operator.entries, layout.dims, [np.eye(self.out_dim)], (1,))[0]
         defect = max_abs(reduced - np.eye(self.in_dim) / self.in_dim)
-        if defect > COMPLETENESS_TOL:
-            raise ValidationError(
-                f"reduced Choi state differs from I/d by {defect:.3e} > {COMPLETENESS_TOL}"
-            )
+        within(defect, COMPLETENESS_TOL, ValidationError, "reduced Choi state is not I/d")
 
     @property
     def out_dim(self) -> int:
@@ -239,12 +233,8 @@ def eb_from_separable_choi(
     if not terms:
         raise ValidationError("decomposition needs at least one term")
     probs = np.array([float(p) for p, _, _ in terms])
-    if np.any(probs < -TERM_SIGN_TOL):
-        raise ValidationError(f"negative probability {probs.min()!r} in decomposition")
-    if abs(probs.sum() - 1.0) > COMPLETENESS_TOL:
-        raise ValidationError(
-            f"probabilities sum to {probs.sum()!r}, not 1 within {COMPLETENESS_TOL}"
-        )
+    within(-probs.min(), TERM_SIGN_TOL, ValidationError, "negative probability in decomposition")
+    within(abs(probs.sum() - 1.0), COMPLETENESS_TOL, ValidationError, "probability sum is not 1")
     in_layout = terms[0][1].layout
     if in_layout.total_dim != d:
         raise LayoutError(f"input-side vectors have dimension {in_layout.total_dim}, not {d}")
@@ -252,9 +242,6 @@ def eb_from_separable_choi(
     for p, v, _ in terms:
         total += d * p * v.projector()
     defect = max_abs(total - np.eye(d))
-    if defect > COMPLETENESS_TOL:
-        raise DecompositionError(
-            f"measurement side fails to resolve the identity (defect {defect:.3e})"
-        )
+    within(defect, COMPLETENESS_TOL, DecompositionError, "measurement side does not sum to I")
     effects = [d * p * v.projector() for p, v, _ in terms]
     return EbChannel(Povm(in_layout, effects), tuple(w for _, _, w in terms))

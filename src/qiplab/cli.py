@@ -20,7 +20,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .channels import EbChannel, KrausChannel, check_eb_ppt
-from .errors import BudgetError, ContractError, NumericsError, QipLabError, ValidationError
+from .errors import BudgetError, ContractError, NumericsError, QipLabError, ValidationError, within
 from .optimize import (
     OptimizerConfig,
     exact_classical_response_value,
@@ -132,12 +132,10 @@ def _decode_array(pairs: Any, shape: tuple[int, ...]) -> np.ndarray:
     if not isinstance(pairs, list) or len(pairs) != count:
         raise ValidationError(f"expected a list of {count} entries for shape {shape}")
     flat = [complex(_convert("entry", float, re), _convert("entry", float, im)) for re, im in pairs]
+    too_large = "entry {!r} has modulus above 1; no channel, effect or state has one"
     for entry in flat:
-        if math.hypot(entry.real, entry.imag) > 1.0 + ENTRY_MODULUS_TOL:
-            raise ValidationError(
-                f"entry {entry!r} has modulus above 1 + {ENTRY_MODULUS_TOL}; "
-                "no channel, effect or state has one"
-            )
+        over = math.hypot(entry.real, entry.imag) - 1.0
+        within(over, ENTRY_MODULUS_TOL, ValidationError, too_large, entry)
     return np.array(flat, dtype=np.complex128).reshape(shape)
 
 
@@ -429,9 +427,8 @@ def _run_canonicalize(params: Mapping[str, Any]):
             prover = random_raw_prover(rng, spec)
             raw_value, canon_value, _ = _canonicalize_instance(spec, prover)
             rows.append((trial, raw_value, canon_value, canon_value - raw_value))
-    min_gain = min(row[3] for row in rows)
-    if min_gain < -CANONICAL_LOSS_TOL:
-        raise NumericsError(f"canonical prover lost {-min_gain:.3e} acceptance")
+    min_gain = float(np.min([row[3] for row in rows]))
+    within(-min_gain, CANONICAL_LOSS_TOL, NumericsError, "canonical prover lost acceptance")
     summary = f"{len(rows)} prover(s) canonicalized, min gain {min_gain:.3e}"
     return ("trial", "raw_value", "canonical_value", "gain"), rows, None, summary
 
@@ -481,14 +478,14 @@ def _run_subsample(params: Mapping[str, Any]):
         fam, params["r"], params["eps"], params["trials"], params["seed"]
     )
     rows = [
-        (trial, report.r, report.lhs_value, rhs, dev)
+        (trial, params["r"], report.lhs_value, rhs, dev)
         for trial, (rhs, dev) in enumerate(zip(report.rhs_values, report.deviations))
     ]
-    footer = [("failure_fraction", report.failure_fraction), ("eps", report.eps)]
+    footer = [("failure_fraction", report.failure_fraction), ("eps", params["eps"])]
     mean_dev = sum(report.deviations) / len(report.deviations)
     summary = (
-        f"r={report.r}: mean deviation {mean_dev:.6f}, "
-        f"failure fraction {report.failure_fraction:.6f} at eps {report.eps:g}"
+        f"r={params['r']}: mean deviation {mean_dev:.6f}, "
+        f"failure fraction {report.failure_fraction:.6f} at eps {params['eps']:g}"
     )
     return ("trial", "r", "lhs", "rhs", "deviation"), rows, footer, summary
 

@@ -4,6 +4,9 @@ The CLI maps these onto process exit codes: configuration and usage
 problems (ValidationError, LayoutError, ContractError, ConditioningError,
 BudgetError, ResolutionError, DecompositionError) exit with status 2,
 internal invariant breaches (NumericsError) with status 3.
+
+Every refusal of a computed defect against a named tolerance goes through
+within, which counts NaN as past every tolerance.
 """
 
 
@@ -41,3 +44,13 @@ class ResolutionError(QipLabError):
 
 class NumericsError(QipLabError):
     """An internal numerical invariant was breached."""
+
+
+def within(defect: float, tol: float, error: type[QipLabError], what: str, *args) -> None:
+    """Raise ``error`` unless ``defect <= tol``, so a NaN defect is refused.
+
+    The message, ``what.format(*args)`` followed by the defect and the
+    tolerance, is formatted only when raising.
+    """
+    if not defect <= tol:
+        raise error(f"{what.format(*args)} (defect {defect:.3e}, tolerance {tol:g})")

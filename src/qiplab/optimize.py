@@ -36,6 +36,7 @@ from .errors import (
     NumericsError,
     ResolutionError,
     ValidationError,
+    within,
 )
 from .protocol import (
     VALUE_RANGE_TOL,
@@ -119,18 +120,12 @@ class ValueReport:
         object.__setattr__(self, "value", checked_probability(self.value))
         for run in self.iterates:
             for prev, cur in zip(run, run[1:]):
-                if cur < prev - ITERATE_MONOTONE_TOL:
-                    raise NumericsError(
-                        f"iterate sequence decreased from {prev!r} to {cur!r}"
-                    )
-        if self.net_error is not None and self.net_error < 0:
-            raise NumericsError(f"negative net error {self.net_error!r}")
+                within(prev - cur, ITERATE_MONOTONE_TOL, NumericsError, "iterate {!r} fell", prev)
+        if self.net_error is not None:
+            within(-self.net_error, 0.0, NumericsError, "negative net error {!r}", self.net_error)
 
 
 class SubsampleReport(NamedTuple):
-    r: int
-    eps: float
-    trials: int
     lhs_value: float
     rhs_values: tuple[float, ...]
     deviations: tuple[float, ...]
@@ -581,8 +576,8 @@ def _certify_tiling(x, y, z, triangles: np.ndarray) -> float:
     if not (np.all(edges[1:] > edges[:-1]) and np.array_equal(edges, reverse)):
         raise NumericsError("net triangles do not pair every directed edge with its reverse")
     coverings = solid_angle / (4 * np.pi)
-    if abs(coverings - 1.0) > COVERING_COUNT_TOL:
-        raise NumericsError(f"net triangles cover the sphere {coverings:.6g} times, not once")
+    covers = "net triangles cover the sphere {:.6g} times, not once"
+    within(abs(coverings - 1.0), COVERING_COUNT_TOL, NumericsError, covers, coverings)
     return covering_cos
 
 
@@ -661,8 +656,8 @@ def brute_force_unentangled_value(
     tables = _response_tables(n_y, n_z, slice(0, n_z**n_y))
     stacked = fam.effects[np.arange(n_y), tables].sum(axis=1)
     eigs = np.linalg.eigvalsh(stacked)
-    if eigs.min() < -VALUE_RANGE_TOL or eigs.max() > 1 + VALUE_RANGE_TOL:
-        raise NumericsError("a response map's acceptance operator escaped [0, I]")
+    spill = np.max(np.maximum(-eigs[..., 0], eigs[..., -1] - 1.0))
+    within(spill, VALUE_RANGE_TOL, NumericsError, "an acceptance operator escaped [0, I]")
     values = _bloch_quadratic_forms(stacked, points)
     g_idx, s_idx = np.unravel_index(np.argmax(values), values.shape)
     witness = {
@@ -741,9 +736,6 @@ def subsampling_experiment(
     deviations = tuple(abs(lhs - rhs) for rhs in rhs_values)
     failures = sum(1 for d in deviations if d > eps)
     return SubsampleReport(
-        r=r,
-        eps=eps,
-        trials=trials,
         lhs_value=lhs,
         rhs_values=tuple(rhs_values),
         deviations=deviations,

@@ -60,6 +60,7 @@ from .errors import (
     LayoutError,
     NumericsError,
     ValidationError,
+    within,
 )
 from .qmath import (
     MeasurementOperator,
@@ -284,8 +285,7 @@ def _zero_state(dim: int) -> np.ndarray:
 
 def checked_probability(p: float, what: str = "value") -> float:
     """`p` clamped into [0, 1]; more than VALUE_RANGE_TOL outside (or NaN) is a fault."""
-    if not -VALUE_RANGE_TOL <= p <= 1 + VALUE_RANGE_TOL:
-        raise NumericsError(f"{what} {p!r} escaped [0, 1]")
+    within(max(-p, p - 1), VALUE_RANGE_TOL, NumericsError, "{} {!r} escaped [0, 1]", what, p)
     return min(max(p, 0.0), 1.0)
 
 

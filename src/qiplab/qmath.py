@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LayoutError, NumericsError, ValidationError
+from .errors import LayoutError, NumericsError, ValidationError, within
 from .utils import checked_int
 
 HERMITIAN_TOL = 1e-10
@@ -171,8 +171,7 @@ class PureState:
         amps = frozen(self.amplitudes, (self.layout.total_dim,), "state vector")
         object.__setattr__(self, "amplitudes", amps)
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValidationError(f"state norm {norm!r} differs from 1 by more than {NORM_TOL}")
+        within(abs(norm - 1.0), NORM_TOL, ValidationError, "state norm {!r} is not 1", norm)
 
     @classmethod
     def basis(cls, layout: RegisterLayout, which: int | str) -> "PureState":
@@ -201,29 +200,21 @@ class DensityMatrix:
         mat = frozen(self.entries, (self.layout.total_dim,) * 2, "density matrix")
         object.__setattr__(self, "entries", mat)
         defect = hermiticity_defect(mat)
-        if defect > HERMITIAN_TOL:
-            raise ValidationError(f"density matrix hermiticity defect {defect:.3e} > {HERMITIAN_TOL}")
+        within(defect, HERMITIAN_TOL, ValidationError, "density matrix is not Hermitian")
         lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo < -PSD_TOL:
-            raise ValidationError(f"density matrix has eigenvalue {lo:.3e} < -{PSD_TOL}")
+        within(-lo, PSD_TOL, ValidationError, "density matrix has eigenvalue {:.3e}", lo)
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"density matrix trace {tr!r} differs from 1 by more than {TRACE_TOL}")
+        within(abs(tr - 1.0), TRACE_TOL, ValidationError, "density matrix trace {!r} is not 1", tr)
 
 
 def checked_effects(layout: RegisterLayout, entries, lead=(), what="measurement operator"):
     """``entries`` read-only, checked in one pass as a stack of shape lead + (D, D)
     of effects on ``layout``: Hermitian with spectrum in [0, 1], to tolerance."""
     mat = frozen(entries, tuple(lead) + (layout.total_dim,) * 2, what)
-    defect = hermiticity_defect(mat)
-    if defect > HERMITIAN_TOL:
-        raise ValidationError(f"effect hermiticity defect {defect:.3e} > {HERMITIAN_TOL}")
+    within(hermiticity_defect(mat), HERMITIAN_TOL, ValidationError, "effect is not Hermitian")
     evs = np.linalg.eigvalsh(mat)
-    lo, hi = evs[..., 0].min(), evs[..., -1].max()
-    if lo < -PSD_TOL or hi > 1.0 + PSD_TOL:
-        raise ValidationError(
-            f"effect spectrum [{lo:.12g}, {hi:.12g}] leaves [-{PSD_TOL}, 1+{PSD_TOL}]"
-        )
+    spill = np.max(np.maximum(-evs[..., 0], evs[..., -1] - 1.0))
+    within(spill, PSD_TOL, ValidationError, "effect spectrum leaves [0, 1]")
     return mat
 
 
@@ -260,8 +251,7 @@ class Povm:
         effects = checked_effects(self.layout, self.effects, lead, "POVM effect")
         object.__setattr__(self, "effects", effects)
         defect = max_abs(sum(effects) - np.eye(self.layout.total_dim))
-        if defect > COMPLETENESS_TOL:
-            raise ValidationError(f"POVM completeness defect {defect:.3e} > {COMPLETENESS_TOL}")
+        within(defect, COMPLETENESS_TOL, ValidationError, "POVM effects do not sum to identity")
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -292,14 +282,12 @@ def hermitian_eig(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
     defect = hermiticity_defect(mat)
-    if defect > EIG_HERMITIAN_TOL:
-        raise ValidationError(f"hermiticity defect {defect:.3e} > {EIG_HERMITIAN_TOL}")
+    within(defect, EIG_HERMITIAN_TOL, ValidationError, "matrix is not Hermitian")
     vals, vecs = np.linalg.eigh(mat)
     vals = vals[..., ::-1].copy()
     vecs = vecs[..., ::-1].copy()
     recon = max_abs((vecs * vals[..., None, :]) @ dagger(vecs) - mat)
-    if recon > EIG_RECONSTRUCT_TOL:
-        raise NumericsError(f"eigendecomposition reconstruction defect {recon:.3e}")
+    within(recon, EIG_RECONSTRUCT_TOL, NumericsError, "eigendecomposition does not reconstruct")
     return vals, vecs
 
 
@@ -310,8 +298,7 @@ def born_probability(effect: MeasurementOperator, rho: DensityMatrix) -> float:
             f"effect layout {effect.layout.names} does not match state layout {rho.layout.names}"
         )
     p = float(np.trace(effect.entries @ rho.entries).real)
-    if p < -PSD_TOL or p > 1.0 + PSD_TOL:
-        raise NumericsError(f"born probability {p!r} outside [0, 1] beyond tolerance")
+    within(max(-p, p - 1.0), PSD_TOL, NumericsError, "born probability {!r} escaped [0, 1]", p)
     return min(max(p, 0.0), 1.0)
 
 
