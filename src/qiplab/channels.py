@@ -175,11 +175,10 @@ def choi(channel: KrausChannel | EbChannel) -> ChoiMatrix:
     """
     d_in = channel.in_layout.total_dim
     d_out = channel.out_layout.total_dim
-    if d_in * d_out > CHOI_DIMENSION_BUDGET:
-        raise BudgetError(
-            f"Choi state of dimension {d_in} * {d_out} = {d_in * d_out} "
-            f"exceeds the budget {CHOI_DIMENSION_BUDGET}"
-        )
+    within(
+        d_in * d_out, CHOI_DIMENSION_BUDGET, BudgetError,
+        "Choi state of dimension {} * {} exceeds the budget", d_in, d_out,
+    )
     if isinstance(channel, EbChannel):
         mat = np.zeros((d_in * d_out,) * 2, dtype=np.complex128)
         for effect, prep in zip(channel.povm.effects, channel.preps):

@@ -383,8 +383,7 @@ CANONICAL_LOSS_TOL = 1e-9
 def _check_count(name: str, value: int, low: int, budget: int) -> None:
     if value < low:
         raise ValidationError(f"{name} must be >= {low}, got {value}")
-    if value > budget:
-        raise BudgetError(f"{name} = {value} exceeds the budget {budget}")
+    within(value, budget, BudgetError, "{} budget exceeded", name)
 
 
 def _run_chsh_gap(params: Mapping[str, Any]):
@@ -401,9 +400,8 @@ def _run_chsh_gap(params: Mapping[str, Any]):
 
 
 def _canonicalize_instance(spec: ProtocolSpec, prover: RawUnentangledStrategy):
-    raw_value = acceptance_probability(spec, prover)
     canonical = canonicalize_prover(spec, prover)
-    return raw_value, acceptance_probability(spec, canonical), canonical
+    return acceptance_probability(spec, prover), acceptance_probability(spec, canonical), canonical
 
 
 def _run_canonicalize(params: Mapping[str, Any]):

@@ -5,8 +5,8 @@ problems (ValidationError, LayoutError, ContractError, ConditioningError,
 BudgetError, ResolutionError, DecompositionError) exit with status 2,
 internal invariant breaches (NumericsError) with status 3.
 
-Every refusal of a computed defect against a named tolerance goes through
-within, which counts NaN as past every tolerance.
+Every refusal against a named limit (a *_TOL, *_BUDGET or *_CAP) goes
+through within, which counts NaN as past every limit.
 """
 
 
@@ -35,7 +35,7 @@ class DecompositionError(QipLabError):
 
 
 class BudgetError(QipLabError):
-    """An enumeration exceeds the supported instance size."""
+    """An instance exceeds a named size budget or cap."""
 
 
 class ResolutionError(QipLabError):
@@ -46,11 +46,20 @@ class NumericsError(QipLabError):
     """An internal numerical invariant was breached."""
 
 
-def within(defect: float, tol: float, error: type[QipLabError], what: str, *args) -> None:
-    """Raise ``error`` unless ``defect <= tol``, so a NaN defect is refused.
+def within(value: float, limit: float, error: type[QipLabError], what: str, *args) -> None:
+    """Raise ``error`` unless ``value <= limit``, so a NaN value is refused.
 
-    The message, ``what.format(*args)`` followed by the defect and the
-    tolerance, is formatted only when raising.
+    The message, ``what.format(*args)`` followed by the value and the limit,
+    is formatted only when raising.
     """
-    if not defect <= tol:
-        raise error(f"{what.format(*args)} (defect {defect:.3e}, tolerance {tol:g})")
+    if not value <= limit:
+        raise error(f"{what.format(*args)} (value {_shown(value)}, limit {_shown(limit)})")
+
+
+def _shown(x) -> str:
+    """An int in full, or by its bit length past the digits Python prints;
+    anything else to three significant figures."""
+    try:
+        return str(x) if isinstance(x, int) else f"{x:.3g}"
+    except ValueError:
+        return f"a {x.bit_length()}-bit int"

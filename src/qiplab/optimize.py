@@ -140,12 +140,11 @@ class DecisionReport(NamedTuple):
 
 
 def _check_enumeration_budget(fam: MeasurementFamily):
-    count = len(fam.responses) ** len(fam.challenges)
-    if count > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"{len(fam.responses)}^{len(fam.challenges)} response maps exceed "
-            f"the enumeration budget {ENUMERATION_BUDGET}"
-        )
+    n_z, n_y = len(fam.responses), len(fam.challenges)
+    within(
+        n_z**n_y, ENUMERATION_BUDGET, BudgetError,
+        "{}^{} response maps exceed the enumeration budget", n_z, n_y,
+    )
 
 
 def _chunks(count: int, elements_each: int):
@@ -336,20 +335,13 @@ def seesaw_entangled_value(
     The restarts run in lockstep, in chunks of at most STACK_ELEMENTS.
     """
     cfg = config or OptimizerConfig()
-    if len(fam.responses) > RESPONSE_ALPHABET_CAP:
-        raise BudgetError(
-            f"response alphabets above {RESPONSE_ALPHABET_CAP} are not supported"
-        )
-    if cfg.restarts > SEESAW_RESTART_BUDGET:
-        raise BudgetError(
-            f"{cfg.restarts} restarts exceed the see-saw restart budget {SEESAW_RESTART_BUDGET}"
-        )
+    within(len(fam.responses), RESPONSE_ALPHABET_CAP, BudgetError, "see-saw response cap exceeded")
+    within(cfg.restarts, SEESAW_RESTART_BUDGET, BudgetError, "see-saw restart budget exceeded")
     n_y, n_z, d_m, _ = fam.effects.shape
-    if d_m * d_m > SEESAW_DIMENSION_BUDGET:
-        raise BudgetError(
-            f"message dimension {d_m} squared exceeds the see-saw budget "
-            f"{SEESAW_DIMENSION_BUDGET}"
-        )
+    within(
+        d_m * d_m, SEESAW_DIMENSION_BUDGET, BudgetError,
+        "message dimension {} squared exceeds the see-saw budget", d_m,
+    )
     per_restart = max(d_m**4, n_y * n_z * d_m**2)
     traces: list[list[float]] = []
     finals: list = []
@@ -644,10 +636,7 @@ def brute_force_unentangled_value(
     d = spec.m_layout.total_dim
     if d != 2:
         raise BudgetError(f"net search supports one-qubit messages only, got dim {d}")
-    if cfg.net_resolution > NET_RESOLUTION_BUDGET:
-        raise BudgetError(
-            f"net resolution {cfg.net_resolution} exceeds the budget {NET_RESOLUTION_BUDGET}"
-        )
+    within(cfg.net_resolution, NET_RESOLUTION_BUDGET, BudgetError, "net resolution budget exceeded")
     fam = joint_response_operators(spec)
     points, z, phi = _fibonacci_net(cfg.net_resolution)
     n_y, n_z = fam.effects.shape[:2]
@@ -714,15 +703,11 @@ def subsampling_experiment(
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if not eps > 0:
         raise ValidationError(f"eps must be > 0, got {eps}")
-    if trials > SUBSAMPLE_TRIAL_BUDGET:
-        raise BudgetError(
-            f"{trials} trials exceed the subsampling trial budget {SUBSAMPLE_TRIAL_BUDGET}"
-        )
-    if r * trials > SUBSAMPLE_DRAW_BUDGET:
-        raise BudgetError(
-            f"r={r} times {trials} trials exceeds the subsampling draw budget "
-            f"{SUBSAMPLE_DRAW_BUDGET}"
-        )
+    within(trials, SUBSAMPLE_TRIAL_BUDGET, BudgetError, "subsampling trial budget exceeded")
+    within(
+        r * trials, SUBSAMPLE_DRAW_BUDGET, BudgetError,
+        "r={} times {} trials exceeds the subsampling draw budget", r, trials,
+    )
     _check_enumeration_budget(fam)
     n_y = len(fam.challenges)
     weights = np.empty((trials + 1, n_y))
@@ -751,8 +736,7 @@ def _checked_repetition(p: float, k: int) -> int:
     k = checked_int(k, "k")
     if k < 1 or k % 2 == 0:
         raise ValidationError(f"k must be a positive odd count, got {k}")
-    if k > AMPLIFY_K_BUDGET:
-        raise BudgetError(f"k = {k} exceeds the amplification budget {AMPLIFY_K_BUDGET}")
+    within(k, AMPLIFY_K_BUDGET, BudgetError, "amplification budget exceeded")
     return k
 
 

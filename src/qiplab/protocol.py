@@ -84,10 +84,12 @@ CONDITIONING_TOL = 1e-12
 # How far outside [0, 1] a computed probability may land before it is a fault.
 VALUE_RANGE_TOL = 1e-9
 # Largest total dimension D the simulator accepts.  Its states and scratch
-# arrays are dense complex matrices of side up to D, so memory grows as D^2
-# and time up to D^3: a raw run plus its canonicalization at D = 1024
+# arrays are dense complex matrices of side up to D, each of D^2 entries, and
+# time grows up to D^3: a raw run plus its canonicalization at D = 1024
 # takes at most about 0.2 s and 140 MB peak (47 MB of it the interpreter and
 # numpy), measured on a 2-core host over six raw shapes with d_M from 2 to 8.
+# A classical response's d_M computational projectors hold d_M^3 entries, so
+# they are held to the D^2 of one such matrix.
 SIMULATOR_DIMENSION_BUDGET = 1024
 
 
@@ -270,11 +272,10 @@ class MeasurementFamily:
 
 
 def _check_simulator_dimension(layout: RegisterLayout):
-    if layout.total_dim > SIMULATOR_DIMENSION_BUDGET:
-        raise BudgetError(
-            f"registers {layout.names} have total dimension {layout.total_dim}, "
-            f"above the simulator budget {SIMULATOR_DIMENSION_BUDGET}"
-        )
+    within(
+        layout.total_dim, SIMULATOR_DIMENSION_BUDGET, BudgetError,
+        "registers {} exceed the simulator budget", layout.names,
+    )
 
 
 def _zero_state(dim: int) -> np.ndarray:
@@ -538,6 +539,10 @@ def _transcript_scores(spec: ProtocolSpec, front: np.ndarray, pm: RegisterLayout
 
 def classical_response_channel(layout: RegisterLayout, responses: Mapping[str, str]) -> EbChannel:
     """Measure M in the computational basis, emit the mapped basis state."""
+    within(
+        layout.total_dim**3, SIMULATOR_DIMENSION_BUDGET**2, BudgetError,
+        "the projectors on {} exceed a matrix at the simulator budget", layout.names,
+    )
     labels = layout.basis_labels()
     missing = [y for y in labels if y not in responses]
     if missing:
@@ -751,6 +756,7 @@ def public_coin_protocol(family: MeasurementFamily) -> ProtocolSpec:
     d = m_layout.total_dim
     v_layout = RegisterLayout(("R", "C"), (d, d))
     joint = m_layout.concat(v_layout)
+    _check_simulator_dimension(joint)
     projectors = basis_projectors(d)
     flag = np.zeros((joint.total_dim,) * 2, dtype=np.complex128)
     for coin, row in zip(projectors, family.effects):

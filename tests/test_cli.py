@@ -146,6 +146,24 @@ def test_canonicalize_single_instance_emits_a_reloadable_document(tmp_path, caps
     assert float(cells[3]) >= -1e-9
 
 
+def test_canonicalize_refuses_a_prover_of_another_form_before_any_run(
+    tmp_path, capsys, monkeypatch
+):
+    spec, _ = qiplab.chsh_protocol()
+    prover = random_classical_response(derived_rng(41, "cli-form"), spec)
+    spec_path, prover_path = tmp_path / "spec.json", tmp_path / "prover.json"
+    spec_path.write_text(dumps_document(protocol_document(spec)) + "\n")
+    prover_path.write_text(dumps_document(strategy_document(prover)) + "\n")
+    runs = []
+    monkeypatch.setattr(qiplab.cli, "acceptance_probability", lambda *args: runs.append(args))
+    args = ["--spec", str(spec_path), "--prover", str(prover_path)]
+    status = main(["canonicalize", *args, "--csv", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert status == 2, err
+    assert "raw unentangled" in err
+    assert runs == []
+
+
 def test_eb_check_accepts_a_channel_document(tmp_path, capsys):
     rng = derived_rng(10, "cli-eb")
     # past in * out = 6 a positive partial transpose certifies nothing

@@ -91,6 +91,15 @@ def test_enumeration_budget_is_enforced():
     )
     with pytest.raises(BudgetError):
         exact_classical_response_value(fam)
+    # 8^5000 has 4,516 digits, past the decimal conversion Python allows
+    fam = MeasurementFamily(
+        tuple(str(y) for y in range(5000)),
+        tuple(str(z) for z in range(8)),
+        QUBIT,
+        np.broadcast_to(np.eye(2) / 8, (5000, 8, 2, 2)),
+    )
+    with pytest.raises(BudgetError, match=r"^8\^5000 response maps .* limit 1000000\)$"):
+        exact_classical_response_value(fam)
 
 
 def test_seesaw_reaches_the_chsh_entangled_optimum():

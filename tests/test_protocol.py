@@ -511,6 +511,60 @@ def test_two_round_readers_hold_m_and_v_to_the_budget(monkeypatch):
         postselected_acceptance(spec, "0", "0")
 
 
+def test_a_classical_response_holds_its_projectors_to_the_budget(monkeypatch):
+    layout = RegisterLayout(("M",), (4,))  # 4 projectors of 16 entries: one 8 x 8 matrix
+    table = dict.fromkeys(layout.basis_labels(), "0")
+    monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 8)
+    assert len(classical_response_channel(layout, table).povm.effects) == 4
+    monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 7)
+    with pytest.raises(BudgetError, match="simulator budget"):
+        classical_response_channel(layout, table)
+    monkeypatch.undo()
+
+    def no_projectors(*args):
+        raise AssertionError("the computational projectors were built")
+
+    monkeypatch.setattr(Povm, "computational", no_projectors)
+    # a 7-qubit M and a qubit V make D = 256, within the budget, but the 128
+    # projectors would hold 2^21 entries, past the 2^20 of a 1024 x 1024 matrix
+    m_layout = RegisterLayout(tuple(f"M{i}" for i in range(7)), (2,) * 7)
+    v_layout = RegisterLayout(("V",), (2,))
+    joint = m_layout.concat(v_layout)
+    spec = ProtocolSpec(
+        m_layout=m_layout,
+        v_layout=v_layout,
+        rounds=2,
+        v1=KrausChannel.identity(joint),
+        v2=KrausChannel.identity(joint),
+        accept=MeasurementOperator(joint, np.eye(256) / 2),
+        classical_rounds=frozenset({1, 2}),
+    )
+    labels = m_layout.basis_labels()
+    with pytest.raises(BudgetError, match="simulator budget"):
+        run_interaction(spec, ClassicalResponseStrategy(None, dict(zip(labels, labels))))
+
+
+def test_a_public_coin_flag_is_held_to_the_budget_before_it_is_built(monkeypatch):
+    _, chsh = chsh_protocol()  # (M, R, C) has dimension 8
+    monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 8)
+    assert public_coin_protocol(chsh).accept.entries.shape == (8, 8)
+    monkeypatch.setattr(protocol, "SIMULATOR_DIMENSION_BUDGET", 7)
+    with pytest.raises(BudgetError, match="simulator budget"):
+        public_coin_protocol(chsh)
+    monkeypatch.undo()
+
+    def no_flag(*args):
+        raise AssertionError("a term of the flag was built")
+
+    monkeypatch.setattr(protocol, "kron_all", no_flag)
+    # M of dimension 12 makes (M, R, C) of dimension 1728
+    layout = RegisterLayout(("K", "L", "M"), (2, 2, 3))
+    labels = layout.basis_labels()
+    halves = np.broadcast_to(np.eye(12) / 2, (12, 12, 12, 12))
+    with pytest.raises(BudgetError, match="simulator budget"):
+        public_coin_protocol(MeasurementFamily(labels, labels, layout, halves))
+
+
 def misfit_prover(spec, form):
     """A prover for `spec` with one channel or state on the wrong registers.
 

@@ -1,5 +1,6 @@
-"""Every refusal of a computed defect against a named tolerance goes through
-errors.within, so a NaN is refused wherever a defect past tolerance is."""
+"""Every refusal against a named limit, a *_TOL tolerance or a *_BUDGET or
+*_CAP size, goes through errors.within, so a NaN is refused wherever a value
+past its limit is."""
 
 import ast
 import math
@@ -72,8 +73,12 @@ def test_a_nan_is_past_every_tolerance(case):
         build()
 
 
-def tolerance_comparisons(source: str) -> list[tuple[str, int]]:
-    """The ``*_TOL`` names that ``source`` compares, with their lines."""
+LIMIT_SUFFIXES = ("_TOL", "_BUDGET", "_CAP")
+
+
+def limit_comparisons(source: str) -> list[tuple[str, int]]:
+    """The named limits (``*_TOL``, ``*_BUDGET``, ``*_CAP``) that ``source``
+    compares, with their lines."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Compare):
@@ -81,20 +86,25 @@ def tolerance_comparisons(source: str) -> list[tuple[str, int]]:
                 found += [
                     (name.id, node.lineno)
                     for name in ast.walk(operand)
-                    if isinstance(name, ast.Name) and name.id.endswith("_TOL")
+                    if isinstance(name, ast.Name) and name.id.endswith(LIMIT_SUFFIXES)
                 ]
     return found
 
 
 def test_the_guard_sees_a_tolerance_compared_by_hand():
-    source = "if defect > A_TOL:\n    raise E\nwithin(defect, A_TOL, E, 'what')\nok = p <= -B_TOL\n"
-    assert tolerance_comparisons(source) == [("A_TOL", 1), ("B_TOL", 4)]
+    source = (
+        "if defect > A_TOL:\n    raise E\nwithin(defect, A_TOL, E, 'what')\nok = p <= -B_TOL\n"
+        "if n * n > C_BUDGET:\n    raise E\nwithin(n, C_BUDGET, E, 'what')\n"
+        "if len(zs) > D_CAP:\n    raise E\nok = n < _CAP_ZONE\n"
+    )
+    found = [("A_TOL", 1), ("B_TOL", 4), ("C_BUDGET", 5), ("D_CAP", 8)]
+    assert limit_comparisons(source) == found
 
 
 def test_only_the_decision_thresholds_compare_a_tolerance_by_hand():
     compared = {
         (path.name, name): line
         for path in sorted(PACKAGE.glob("*.py"))
-        for name, line in tolerance_comparisons(path.read_text())
+        for name, line in limit_comparisons(path.read_text())
     }
     assert set(compared) == DECISIONS, compared
